@@ -19,6 +19,7 @@ from .full_info import FullInfoResult, extract_boundary, price_european_referenc
 from .lattice import (
     AdmissibilityError,
     Lattice,
+    NonFiniteResultError,
     QMatrix,
     RegimeReturnProbs,
     build_lattice,
@@ -40,6 +41,7 @@ __all__ = [
     "Lattice",
     "ModelParams",
     "NoFiniteBoundary",
+    "NonFiniteResultError",
     "ParameterError",
     "PartialInfoResult",
     "PerpetualSolution",

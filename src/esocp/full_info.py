@@ -12,8 +12,17 @@ from math import exp, inf
 
 import numpy as np
 
-from .lattice import Lattice, QMatrix, RegimeReturnProbs, build_lattice, regime_return_probs, transition_matrix
+from .lattice import (
+    Lattice,
+    QMatrix,
+    RegimeReturnProbs,
+    build_lattice,
+    check_finite,
+    regime_return_probs,
+    transition_matrix,
+)
 from .model import ModelParams
+from .sweep import backward_sweep
 
 # A node counts as exercised when intrinsic >= continuation - TIE_TOL*max(1, intrinsic),
 # so boundary extraction is deterministic under floating-point ties.
@@ -48,6 +57,7 @@ class FullInfoResult:
     p: RegimeReturnProbs
     slices0: list[np.ndarray] | None = None  # per-step value arrays, kept on request
     slices1: list[np.ndarray] | None = None
+    node_steps: int = 0  # layer-node updates the sweep performed (2 layers: the regimes)
 
     def root(self, regime: int) -> float:
         return self.v0_root if regime == 0 else self.v1_root
@@ -70,46 +80,47 @@ def price_full(
 
     v(k, x, i) = max{(x-K)+, disc * sum_j q_ij [p_up,j v(k+1, x*up, j)
                                                + p_dw,j v(k+1, x*dw, j)]},
-    terminal value (x-K)+, both regime trees swept together.
+    terminal value (x-K)+, both regime trees swept together as the two layers
+    of one active-window sweep (see ``sweep``).  ``keep_slices`` sweeps every
+    step at full width and keeps its value arrays.
     """
     lattice = build_lattice(params, n_steps)
     q = transition_matrix(params.lam, lattice.h)
     p = regime_return_probs(params, lattice, literal_exponent)
     disc = exp(-params.r * lattice.h)
-    strike = params.strike
 
-    prices = lattice.level_prices(n_steps)
-    v0 = np.maximum(prices - strike, 0.0)
-    v1 = v0.copy()
+    def continuation(children: np.ndarray) -> np.ndarray:
+        v0, v1 = children
+        up1 = p.p_up1 * v1[1:] + p.p_dw1 * v1[:-1]
+        cont = np.empty((2, v0.size - 1))
+        cont[0] = disc * (q.q00 * (p.p_up0 * v0[1:] + p.p_dw0 * v0[:-1]) + q.q01 * up1)
+        cont[1] = disc * up1
+        return cont
 
-    boundary0 = np.full(n_steps + 1, inf) if keep_boundaries else None
-    boundary1 = np.full(n_steps + 1, inf) if keep_boundaries else None
+    run = backward_sweep(
+        lattice,
+        params.strike,
+        disc,
+        np.array([q.q00 * p.p_up0 + q.q01 * p.p_up1, p.p_up1]),
+        np.array([q.q00 * p.p_dw0 + q.q01 * p.p_dw1, p.p_dw1]),
+        continuation,
+        thresholds=first_exercise_prices if keep_boundaries else None,
+        full_width=range(n_steps) if keep_slices else (),
+    )
+    v0_root, v1_root = (float(v) for v in run.root)
+    check_finite("full-information root value", (v0_root, v1_root))
+
+    boundary0 = boundary1 = slices0 = slices1 = None
     if keep_boundaries:
-        boundary0[n_steps] = strike
-        boundary1[n_steps] = strike
-    slices0 = [v0] if keep_slices else None
-    slices1 = [v1] if keep_slices else None
-
-    for k in range(n_steps - 1, -1, -1):
-        prices = lattice.level_prices(k)
-        intrinsic = np.maximum(prices - strike, 0.0)
-        cont1 = disc * (p.p_up1 * v1[1:] + p.p_dw1 * v1[:-1])
-        cont0 = disc * (
-            q.q00 * (p.p_up0 * v0[1:] + p.p_dw0 * v0[:-1])
-            + q.q01 * (p.p_up1 * v1[1:] + p.p_dw1 * v1[:-1])
-        )
-        if keep_boundaries:
-            boundary0[k] = first_exercise_prices(prices, strike, intrinsic, cont0)
-            boundary1[k] = first_exercise_prices(prices, strike, intrinsic, cont1)
-        v0 = np.maximum(intrinsic, cont0)
-        v1 = np.maximum(intrinsic, cont1)
-        if keep_slices:
-            slices0.insert(0, v0)
-            slices1.insert(0, v1)
+        boundary0, boundary1 = run.thresholds.T.copy()
+    if keep_slices:
+        terminal = np.maximum(lattice.level_prices(n_steps) - params.strike, 0.0)
+        slices0 = [run.slices[k][0][0] for k in range(n_steps)] + [terminal]
+        slices1 = [run.slices[k][0][1] for k in range(n_steps)] + [terminal.copy()]
 
     return FullInfoResult(
-        v0_root=float(v0[0]),
-        v1_root=float(v1[0]),
+        v0_root=v0_root,
+        v1_root=v1_root,
         boundary0=boundary0,
         boundary1=boundary1,
         params=params,
@@ -118,6 +129,7 @@ def price_full(
         p=p,
         slices0=slices0,
         slices1=slices1,
+        node_steps=run.node_steps,
     )
 
 
@@ -148,8 +160,11 @@ def price_european_reference(
         v0 = disc * (q.q00 * (p.p_up0 * v0[1:] + p.p_dw0 * v0[:-1]) + q.q01 * up1)
         v1 = disc * up1
     if regime is not None:
-        return float(v0[0]) if regime == 0 else float(v1[0])
-    return float((1.0 - y0) * v0[0] + y0 * v1[0])
+        value = float(v0[0]) if regime == 0 else float(v1[0])
+    else:
+        value = float((1.0 - y0) * v0[0] + y0 * v1[0])
+    check_finite("European reference value", value)
+    return value
 
 
 def extract_boundary(result: FullInfoResult, regime: int) -> np.ndarray:

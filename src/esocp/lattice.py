@@ -20,6 +20,19 @@ class AdmissibilityError(ValueError):
     """Raised when a regime's one-step return probability leaves (0, 1)."""
 
 
+class NonFiniteResultError(ValueError):
+    """Raised when a pricer's root value is not finite (e.g. node prices overflowed)."""
+
+
+def check_finite(label: str, values) -> None:
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteResultError(
+            f"{label} is not finite; node prices beyond the float range "
+            "(large sigma*sqrt(maturity*N)) are the usual cause"
+        )
+
+
 @dataclass(frozen=True)
 class Lattice:
     n_steps: int  # N >= 1
@@ -35,6 +48,15 @@ class Lattice:
     def level_prices(self, k: int) -> np.ndarray:
         """All node prices at step k, ascending in j."""
         return self.spot * self.up ** (2.0 * np.arange(k + 1) - k)
+
+    def price_ladder(self) -> np.ndarray:
+        """spot * up**m for m = -N..N; level_prices(k) is the slice [N-k : N+k+1 : 2].
+
+        Entries beyond the float range are inf; the sweeps only read them if
+        such a node is ever swept, and then the root fails its finiteness check.
+        """
+        with np.errstate(over="ignore"):
+            return self.spot * self.up ** np.arange(-self.n_steps, self.n_steps + 1, dtype=float)
 
 
 @dataclass(frozen=True)

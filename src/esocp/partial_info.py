@@ -12,14 +12,23 @@ oracle the grid scheme is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, inf
+from math import exp
 
 import numpy as np
 
 from .filtering import FilterGrid, build_grid, predict_return_prob, update_belief
 from .full_info import first_exercise_prices
-from .lattice import Lattice, QMatrix, RegimeReturnProbs, build_lattice, regime_return_probs, transition_matrix
+from .lattice import (
+    Lattice,
+    QMatrix,
+    RegimeReturnProbs,
+    build_lattice,
+    check_finite,
+    regime_return_probs,
+    transition_matrix,
+)
 from .model import ModelParams
+from .sweep import backward_sweep
 
 # Exact enumeration doubles its state space every step.
 MAX_EXACT_STEPS = 22
@@ -39,6 +48,7 @@ class PartialInfoResult:
     slice_step: int | None = None  # step whose value slice was retained
     slice_values: np.ndarray | None = None  # (L, slice_step+1) values at that step
     slice_continuation: np.ndarray | None = None  # (L, slice_step+1) continuations
+    node_steps: int = 0  # layer-node updates the sweep performed
 
     def root_at(self, y0) -> float | np.ndarray:
         """Root value at arbitrary initial beliefs, interpolated on the grid."""
@@ -64,6 +74,8 @@ def price_partial(
     where Uup/Udw interpolate the next slice at the Bayes posteriors of grid
     belief l after an up/down move, and the terminal slice is (x-K)+ for all
     layers.  The root is interpolated at y0 across the layer values at (0,0).
+    Only nodes whose value is not known exactly are swept (see ``sweep``);
+    the step ``keep_slice_at`` is swept at full width and retained.
     """
     if y0 is None:
         y0 = params.y0
@@ -74,39 +86,49 @@ def price_partial(
     p = regime_return_probs(params, lattice, literal_exponent)
     grid = build_grid(n_belief, q, p)
     disc = exp(-params.r * lattice.h)
-    strike = params.strike
 
-    p_up = np.asarray(predict_return_prob(grid.points, q, p, "up"))[:, None]
-    p_dw = np.asarray(predict_return_prob(grid.points, q, p, "dw"))[:, None]
-    wu = grid.w_up[:, None]
-    wd = grid.w_dw[:, None]
+    p_up = np.asarray(predict_return_prob(grid.points, q, p, "up"))
+    p_dw = np.asarray(predict_return_prob(grid.points, q, p, "dw"))
+    pu, pd = p_up[:, None], p_dw[:, None]
+    wu, wd = grid.w_up[:, None], grid.w_dw[:, None]
+    wu_lo, wd_lo = 1.0 - wu, 1.0 - wd
 
     if keep_slice_at is not None and not 0 <= keep_slice_at < n_steps:
         raise ValueError(f"keep_slice_at must lie in [0, {n_steps}), got {keep_slice_at}")
-    surface = np.full((n_steps + 1, n_belief), inf) if keep_surface else None
-    if keep_surface:
-        surface[n_steps, :] = strike
-    slice_values = slice_continuation = None
 
-    # U has one row per belief layer, one column per stock node at step k.
-    U = np.broadcast_to(
-        np.maximum(lattice.level_prices(n_steps) - strike, 0.0), (n_belief, n_steps + 1)
-    ).copy()
+    def continuation(children: np.ndarray) -> np.ndarray:
+        # One row per belief layer, one column per stock node.  In place, the
+        # same operations as disc * (pu * (Uup interpolated) + pd * (Udw interpolated)).
+        up_next, dw_next = children[:, 1:], children[:, :-1]
+        cont = up_next[grid.up_lo]
+        cont *= wu_lo
+        hi = up_next[grid.up_hi]
+        hi *= wu
+        cont += hi
+        cont *= pu
+        dw = dw_next[grid.dw_lo]
+        dw *= wd_lo
+        hi = dw_next[grid.dw_hi]
+        hi *= wd
+        dw += hi
+        dw *= pd
+        cont += dw
+        cont *= disc
+        return cont
 
-    for k in range(n_steps - 1, -1, -1):
-        up_interp = U[grid.up_lo] * (1.0 - wu) + U[grid.up_hi] * wu
-        dw_interp = U[grid.dw_lo] * (1.0 - wd) + U[grid.dw_hi] * wd
-        cont = disc * (p_up * up_interp[:, 1:] + p_dw * dw_interp[:, :-1])
-        prices = lattice.level_prices(k)
-        intrinsic = np.maximum(prices - strike, 0.0)
-        if keep_surface:
-            surface[k, :] = first_exercise_prices(prices, strike, intrinsic, cont)
-        U = np.maximum(intrinsic, cont)
-        if k == keep_slice_at:
-            slice_values = U.copy()
-            slice_continuation = cont
-
-    root_layers = U[:, 0].copy()
+    run = backward_sweep(
+        lattice,
+        params.strike,
+        disc,
+        p_up,
+        p_dw,
+        continuation,
+        thresholds=first_exercise_prices if keep_surface else None,
+        full_width=() if keep_slice_at is None else (keep_slice_at,),
+    )
+    root_layers = run.root
+    check_finite("partial-information root value", root_layers)
+    slice_values, slice_continuation = run.slices.get(keep_slice_at, (None, None))
     root = float(grid.interpolate(root_layers, y0))
     return PartialInfoResult(
         root=root,
@@ -117,10 +139,11 @@ def price_partial(
         q=q,
         p=p,
         grid=grid,
-        surface=surface,
+        surface=run.thresholds,
         slice_step=keep_slice_at,
         slice_values=slice_values,
         slice_continuation=slice_continuation,
+        node_steps=run.node_steps,
     )
 
 

@@ -1,15 +1,21 @@
 """Independent oracles the package is tested against.
 
 Deliberately plain implementations: a single-regime CRR pricer written from
-scratch (no package imports) and an Euler scheme for the likelihood-ratio
-SDE.  These stay independent of the code paths they check.
+scratch (no package imports), an Euler scheme for the likelihood-ratio SDE,
+and the full-width backward sweeps of both lattice pricers.  The full-width
+sweeps take their lattice, chain and belief grid from the package but update
+every node of every step, so they check the active-window sweeps bit for bit.
 """
 
 from __future__ import annotations
 
-from math import exp, sqrt
+from math import exp, inf, sqrt
 
 import numpy as np
+
+from esocp.filtering import build_grid, predict_return_prob
+from esocp.full_info import first_exercise_prices
+from esocp.lattice import build_lattice, regime_return_probs, transition_matrix
 
 
 def crr_american_call(
@@ -54,3 +60,72 @@ def euler_likelihood_ratio(
         phi = phi + lam * (1.0 + phi) * dt - eta * phi * dw
         path[i + 1] = phi
     return path
+
+
+def full_width_price_full(params, n_steps: int) -> dict:
+    """Insider sweep over every node: roots, boundaries and value slices."""
+    lattice = build_lattice(params, n_steps)
+    q = transition_matrix(params.lam, lattice.h)
+    p = regime_return_probs(params, lattice)
+    disc = exp(-params.r * lattice.h)
+    strike = params.strike
+
+    v0 = np.maximum(lattice.level_prices(n_steps) - strike, 0.0)
+    v1 = v0.copy()
+    boundary0 = np.full(n_steps + 1, inf)
+    boundary1 = np.full(n_steps + 1, inf)
+    boundary0[n_steps] = boundary1[n_steps] = strike
+    slices0, slices1 = [v0], [v1]
+    for k in range(n_steps - 1, -1, -1):
+        prices = lattice.level_prices(k)
+        intrinsic = np.maximum(prices - strike, 0.0)
+        cont1 = disc * (p.p_up1 * v1[1:] + p.p_dw1 * v1[:-1])
+        cont0 = disc * (
+            q.q00 * (p.p_up0 * v0[1:] + p.p_dw0 * v0[:-1])
+            + q.q01 * (p.p_up1 * v1[1:] + p.p_dw1 * v1[:-1])
+        )
+        boundary0[k] = first_exercise_prices(prices, strike, intrinsic, cont0)
+        boundary1[k] = first_exercise_prices(prices, strike, intrinsic, cont1)
+        v0 = np.maximum(intrinsic, cont0)
+        v1 = np.maximum(intrinsic, cont1)
+        slices0.insert(0, v0)
+        slices1.insert(0, v1)
+    return dict(
+        v0_root=float(v0[0]), v1_root=float(v1[0]), boundary0=boundary0, boundary1=boundary1,
+        slices0=slices0, slices1=slices1,
+    )
+
+
+def full_width_price_partial(params, n_steps: int, n_belief: int, keep_slice_at: int) -> dict:
+    """Outsider sweep over every node: root layers, surface and one slice."""
+    lattice = build_lattice(params, n_steps)
+    q = transition_matrix(params.lam, lattice.h)
+    p = regime_return_probs(params, lattice)
+    grid = build_grid(n_belief, q, p)
+    disc = exp(-params.r * lattice.h)
+    strike = params.strike
+
+    p_up = np.asarray(predict_return_prob(grid.points, q, p, "up"))[:, None]
+    p_dw = np.asarray(predict_return_prob(grid.points, q, p, "dw"))[:, None]
+    wu = grid.w_up[:, None]
+    wd = grid.w_dw[:, None]
+    surface = np.full((n_steps + 1, n_belief), inf)
+    surface[n_steps, :] = strike
+    U = np.broadcast_to(
+        np.maximum(lattice.level_prices(n_steps) - strike, 0.0), (n_belief, n_steps + 1)
+    ).copy()
+    for k in range(n_steps - 1, -1, -1):
+        up_interp = U[grid.up_lo] * (1.0 - wu) + U[grid.up_hi] * wu
+        dw_interp = U[grid.dw_lo] * (1.0 - wd) + U[grid.dw_hi] * wd
+        cont = disc * (p_up * up_interp[:, 1:] + p_dw * dw_interp[:, :-1])
+        prices = lattice.level_prices(k)
+        intrinsic = np.maximum(prices - strike, 0.0)
+        surface[k, :] = first_exercise_prices(prices, strike, intrinsic, cont)
+        U = np.maximum(intrinsic, cont)
+        if k == keep_slice_at:
+            slice_values = U.copy()
+            slice_continuation = cont
+    return dict(
+        root_layers=U[:, 0].copy(), surface=surface,
+        slice_values=slice_values, slice_continuation=slice_continuation,
+    )

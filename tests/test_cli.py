@@ -69,6 +69,15 @@ def test_domain_error_exit_code(capsys):
     assert "mu0" in err
 
 
+def test_non_finite_root_exit_code(capsys):
+    with np.errstate(all="ignore"):
+        code, out, err = run(capsys, "price-full", "--N", "1500", "--sigma", "2", "--maturity", "100",
+                             "--mu0", "0.08", "--lambda", "0")
+    assert code == 1
+    assert "not finite" in err
+    assert "nan" not in out
+
+
 def test_usage_error_from_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["price-full", "--N", "not-a-number"])
