@@ -30,7 +30,7 @@ from .lattice import (
 from .model import DerivedConstants, ModelParams, ParameterError, Regime, derived, load_params, validate
 from .partial_info import PartialInfoResult, extract_surface, price_partial, price_partial_exact
 from .perpetual import NoFiniteBoundary, PerpetualSolution, solve_perpetual, verify_odes
-from .simulate import ExerciseOutcome, SimPath, aggregate_stats, replay_policies, simulate_batch, simulate_joint_path
+from .simulate import ExerciseOutcome, SimPath, aggregate_stats, replay_policies, simulate_joint_path
 
 __all__ = [
     "AdmissibilityError",
@@ -65,7 +65,6 @@ __all__ = [
     "price_partial_exact",
     "regime_return_probs",
     "replay_policies",
-    "simulate_batch",
     "simulate_continuous_filter",
     "simulate_joint_path",
     "solve_perpetual",

@@ -1,17 +1,20 @@
 """Monte Carlo engine: simulate the joint lattice dynamics and replay the
 insider's and outsider's optimal exercise policies on common paths.
 
-Reproducibility contract: every path draws from its own PCG64 substream
-seeded by (master seed, path index), consuming uniforms in a fixed order
-(initial regime, switch step, then one per move).  Batch results are
-therefore independent of chunking and identical to single-path runs.
+Reproducibility contract: paths come in blocks of BLOCK = 1024.  Block b
+covers paths [b*BLOCK, (b+1)*BLOCK) and draws all its uniforms from one
+stream, ``default_rng((master_seed, b)).random((N + 2, BLOCK))``, laid out
+step-major: row 0 decides the initial regime, row 1 the switch step, row
+k + 2 the move over step k, and column c belongs to path b*BLOCK + c.  Path i
+is therefore the same whatever the number of paths or the chunk size, and
+``simulate_joint_path`` with seed (master_seed, i) reproduces batch path i.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import exp, inf, log, nan
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from math import inf, log, nan
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -21,14 +24,21 @@ from .lattice import Lattice, QMatrix, RegimeReturnProbs
 from .model import ModelParams
 from .partial_info import PartialInfoResult
 
-RNG_NAME = "numpy PCG64 (default_rng), substream key (seed, path_index)"
+BLOCK = 1024
+RNG_NAME = f"numpy PCG64 (default_rng), stream (seed, block) per block of {BLOCK} paths, step-major"
 
-_UNIFORMS_PER_PATH_OVERHEAD = 2  # initial-regime draw + switch-step draw
+_ROWS_BEFORE_MOVES = 2  # initial-regime draw + switch-step draw
+_DEFAULT_CHUNK_UNIFORMS = 4_000_000  # about 32 MB of uniforms per chunk
+
+
+def block_uniforms(master_seed: int, block: int, n_steps: int) -> np.ndarray:
+    """The (N + 2, BLOCK) step-major uniforms of one block of paths."""
+    return np.random.default_rng((master_seed, block)).random((n_steps + _ROWS_BEFORE_MOVES, BLOCK))
 
 
 @dataclass(frozen=True)
 class SimPath:
-    seed: object  # whatever seeded this path's substream
+    seed: object  # (master seed, path index) that located this path's draws
     lattice: Lattice
     ups: np.ndarray  # (N,) booleans, True = up move
     stock: np.ndarray  # (N+1,) node prices along the path
@@ -62,6 +72,11 @@ def _switch_step_from_uniform(u: float | np.ndarray, q00: float):
     return np.floor(ratio) + 1.0
 
 
+def _switch_steps(params: ModelParams, q: QMatrix, u_regime, u_switch) -> np.ndarray:
+    """First step in regime 1 per path (0 if it starts there, inf if never)."""
+    return np.where(u_regime < params.y0, 0.0, _switch_step_from_uniform(u_switch, q.q00))
+
+
 def simulate_joint_path(
     params: ModelParams,
     lattice: Lattice,
@@ -72,45 +87,35 @@ def simulate_joint_path(
 ) -> SimPath:
     """One path of (stock, regime) plus the outsider's filtered beliefs.
 
-    The move over a step is drawn with the probability of the regime
-    prevailing at the end of that step.
+    ``seed`` is (master seed, path index); an int s means (s, 0).  The move
+    over a step is drawn with the probability of the regime prevailing at the
+    end of that step.
     """
+    master_seed, index = (seed, 0) if isinstance(seed, (int, np.integer)) else seed
     n = lattice.n_steps
-    rng = np.random.default_rng(seed)
-    draws = rng.random(n + _UNIFORMS_PER_PATH_OVERHEAD)
+    draws = block_uniforms(master_seed, index // BLOCK, n)[:, index % BLOCK]
 
-    if draws[0] < params.y0:
-        switch = 0
-    elif params.lam == 0.0:
-        switch = None
-    else:
-        m = _switch_step_from_uniform(draws[1], q.q00)
-        switch = int(m) if m <= n else None
-
+    first = float(_switch_steps(params, q, draws[0], draws[1]))
+    switch = int(first) if first <= n else None
     regime = np.zeros(n + 1, dtype=np.int8)
     if switch is not None:
         regime[switch:] = 1
 
-    move_draws = draws[_UNIFORMS_PER_PATH_OVERHEAD:]
-    p_up_step = np.where(regime[1:] == 1, p.p_up1, p.p_up0)
-    ups = move_draws < p_up_step
-
+    ups = draws[_ROWS_BEFORE_MOVES:] < np.where(regime[1:] == 1, p.p_up1, p.p_up0)
     j = np.concatenate(([0], np.cumsum(ups)))
-    k = np.arange(n + 1)
-    stock = lattice.spot * lattice.up ** (2.0 * j - k)
+    stock = lattice.price_ladder()[2 * j - np.arange(n + 1) + n]
 
     beliefs: dict[float, np.ndarray] = {}
     for y0 in belief_starts:
         path = np.empty(n + 1)
-        path[0] = y0
-        y = y0
+        path[0] = y = y0
         for step in range(n):
             y = update_belief(y, "up" if ups[step] else "dw", q, p)
             path[step + 1] = y
         beliefs[y0] = path
 
     return SimPath(
-        seed=seed,
+        seed=(master_seed, index),
         lattice=lattice,
         ups=ups,
         stock=stock,
@@ -125,17 +130,41 @@ def _check_same_lattice(a: Lattice, b: Lattice, what: str) -> None:
         raise ValueError(f"lattice mismatch between simulated path and {what}")
 
 
+def _check_policies(full: FullInfoResult, partial: PartialInfoResult, what: str) -> None:
+    """Both policies must come from one model; only the prior y0 may differ."""
+    _check_same_lattice(full.lattice, partial.lattice, what)
+    if replace(full.params, y0=0.0) != replace(partial.params, y0=0.0) or full.p != partial.p:
+        raise ValueError(
+            f"{what} was priced under other parameters than full-information pricing "
+            "(only y0 may differ)"
+        )
+    if partial.surface is None:
+        raise ValueError("partial result has no retained exercise surface")
+
+
 def surface_threshold(surface_row: np.ndarray, result: PartialInfoResult, y) -> np.ndarray:
-    """Exercise threshold at arbitrary beliefs, linear between belief layers.
+    """Exercise threshold at beliefs y in [0, 1], linear between belief layers.
 
     An infinite threshold on either side of a genuine bracket makes the whole
-    cell uncrossable (no interpolation across an infinite layer).
+    cell uncrossable (no interpolation across an infinite layer): inf times a
+    weight in (0, 1) stays inf.  A weight of 0 (exact hit) reads the layer.
     """
     lo, hi, w = result.grid.locate(y)
-    s_lo, s_hi = surface_row[lo], surface_row[hi]
-    finite = np.isfinite(s_lo) & np.isfinite(s_hi)
-    interp = np.where(finite, s_lo, 0.0) * (1.0 - w) + np.where(finite, s_hi, 0.0) * w
-    return np.where(w == 0.0, s_lo, np.where(finite, interp, inf))
+    s_lo = surface_row[lo]
+    with np.errstate(invalid="ignore"):
+        interp = s_lo * (1.0 - w) + surface_row[hi] * w
+    return np.where(w == 0.0, s_lo, interp)
+
+
+def _discount_factors(full_result: FullInfoResult) -> np.ndarray:
+    """exp(-r t_k) for k = 0..N; the one discounting both replay paths use."""
+    lattice = full_result.lattice
+    return np.exp(-full_result.params.r * lattice.h * np.arange(lattice.n_steps + 1))
+
+
+def _first_crossing(stock: np.ndarray, threshold: np.ndarray) -> int | None:
+    hits = np.flatnonzero(stock >= threshold)
+    return int(hits[0]) if hits.size else None
 
 
 def replay_policies(
@@ -150,41 +179,24 @@ def replay_policies(
     crossing of the surface threshold interpolated at her current belief.
     """
     _check_same_lattice(path.lattice, full_result.lattice, "full-information pricing")
-    params = full_result.params
-    h = path.lattice.h
-    n = path.n_steps
+    strike = full_result.params.strike
+    disc = _discount_factors(full_result)
 
     def outcome(agent: str, step: int | None) -> ExerciseOutcome:
         if step is None:
             return ExerciseOutcome(agent=agent, exercise_step=None, exercise_price=nan, payoff=0.0)
         x = float(path.stock[step])
-        payoff = exp(-params.r * step * h) * max(x - params.strike, 0.0)
+        payoff = float(disc[step] * max(x - strike, 0.0))
         return ExerciseOutcome(agent=agent, exercise_step=step, exercise_price=x, payoff=payoff)
 
-    outcomes: list[ExerciseOutcome] = []
-
-    b0, b1 = full_result.boundary(0), full_result.boundary(1)
-    insider_step = None
-    for k in range(n + 1):
-        threshold = b1[k] if path.regime[k] == 1 else b0[k]
-        if path.stock[k] >= threshold:
-            insider_step = k
-            break
-    outcomes.append(outcome("insider", insider_step))
-
+    insider = np.where(path.regime == 1, full_result.boundary(1), full_result.boundary(0))
+    outcomes = [outcome("insider", _first_crossing(path.stock, insider))]
     for y0, partial in partial_results.items():
-        _check_same_lattice(path.lattice, partial.lattice, f"partial pricing (y0={y0:g})")
-        if partial.surface is None:
-            raise ValueError("partial result has no retained exercise surface")
-        beliefs = path.beliefs[y0]
-        step = None
-        for k in range(n + 1):
-            threshold = float(surface_threshold(partial.surface[k], partial, beliefs[k]))
-            if path.stock[k] >= threshold:
-                step = k
-                break
-        outcomes.append(outcome(f"outsider(y0={y0:g})", step))
-
+        _check_policies(full_result, partial, f"partial pricing (y0={y0:g})")
+        threshold = np.array(
+            [surface_threshold(s, partial, y) for s, y in zip(partial.surface, path.beliefs[y0])]
+        )
+        outcomes.append(outcome(f"outsider(y0={y0:g})", _first_crossing(path.stock, threshold)))
     return outcomes
 
 
@@ -208,94 +220,121 @@ def replay_batch(
 ) -> dict[str, AgentOutcomes]:
     """Simulate n_paths with common random numbers and replay every policy.
 
-    Path i draws from substream (master_seed, i); results do not depend on
-    chunk_size.  All outsider variants share one exercise surface (the value
-    surface does not depend on the initial belief) but carry their own
-    filtered belief paths.
+    Paths are drawn block by block (see the module docstring) and replayed
+    a chunk of whole blocks at a time; chunk_size (paths, rounded up to whole
+    blocks) bounds memory and does not change the results.  All outsider
+    variants share one exercise surface (the value surface does not depend
+    on the initial belief) but carry their own filtered belief paths.
     """
-    _check_same_lattice(full_result.lattice, partial_result.lattice, "partial pricing")
-    if partial_result.surface is None:
-        raise ValueError("partial result has no retained exercise surface")
-    params = full_result.params
-    lattice, q, p = full_result.lattice, full_result.q, full_result.p
-    n = lattice.n_steps
+    _check_policies(full_result, partial_result, "partial pricing")
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    n = full_result.lattice.n_steps
+    n_blocks = -(-n_paths // BLOCK)
     if chunk_size is None:
-        chunk_size = max(256, min(20_000, 12_500_000 // max(n, 1)))
+        chunk_size = _DEFAULT_CHUNK_UNIFORMS // (n + _ROWS_BEFORE_MOVES)
+    chunk_blocks = max(1, -(-chunk_size // BLOCK))
 
-    agents = ["insider"] + [f"outsider(y0={y0:g})" for y0 in belief_starts]
-    steps = {a: np.full(n_paths, -1, dtype=np.int64) for a in agents}
-    prices = {a: np.full(n_paths, nan) for a in agents}
+    parts = []
+    buffer = np.empty((n + _ROWS_BEFORE_MOVES, min(chunk_blocks, n_blocks) * BLOCK))
+    for first in range(0, n_blocks, chunk_blocks):
+        blocks = range(first, min(first + chunk_blocks, n_blocks))
+        draws = buffer[:, : len(blocks) * BLOCK]
+        for c, b in enumerate(blocks):
+            draws[:, c * BLOCK : (c + 1) * BLOCK] = block_uniforms(master_seed, b, n)
+        parts.append(replay_draws(full_result, partial_result, draws, belief_starts))
 
+    def joined(agent: str, field: str) -> np.ndarray:
+        return np.concatenate([getattr(part[agent], field) for part in parts])[:n_paths]
+
+    fields = ("exercise_step", "exercise_price", "payoff")
+    return {agent: AgentOutcomes(agent, *(joined(agent, f) for f in fields)) for agent in parts[0]}
+
+
+def replay_draws(
+    full_result: FullInfoResult,
+    partial_result: PartialInfoResult,
+    draws: np.ndarray,
+    belief_starts: Sequence[float] = (0.0, 0.5),
+) -> dict[str, AgentOutcomes]:
+    """Replay every policy on the paths of a step-major (N + 2, M) uniform matrix.
+
+    Column i is one path, its rows used as in the module docstring.  Each
+    step runs over all paths at once: stock prices are read from the price
+    ladder and only the realised branch of the filter is evaluated (the
+    operations of ``update_belief``, in its order).  A threshold is only
+    evaluated, and a belief bracketed, on live paths whose stock reaches the
+    lowest threshold the step can have.
+    """
+    params, lattice, q, p = full_result.params, full_result.lattice, full_result.q, full_result.p
+    n = lattice.n_steps
+    m = draws.shape[1]
+    ladder = lattice.price_ladder()
     b0, b1 = full_result.boundary(0), full_result.boundary(1)
     surface = partial_result.surface
-    disc_factors = np.exp(-params.r * lattice.h * np.arange(n + 1))
+    # An interpolated threshold is at least the smaller of its two layers up to
+    # rounding; the relative margin keeps every possible crossing a candidate.
+    surface_floor = np.min(surface, axis=1) * (1.0 - 1e-12)
 
-    for lo in range(0, n_paths, chunk_size):
-        hi = min(lo + chunk_size, n_paths)
-        m = hi - lo
-        draws = np.empty((m, n + _UNIFORMS_PER_PATH_OVERHEAD))
-        for i in range(m):
-            draws[i] = np.random.default_rng((master_seed, lo + i)).random(
-                n + _UNIFORMS_PER_PATH_OVERHEAD
+    switch = _switch_steps(params, q, draws[0], draws[1])
+    agents = ["insider"] + [f"outsider(y0={y0:g})" for y0 in belief_starts]
+    steps = {a: np.full(m, -1, dtype=np.int64) for a in agents}
+    prices = {a: np.full(m, nan) for a in agents}
+    beliefs = [np.full(m, float(y0)) for y0 in belief_starts]
+    j = np.zeros(m, dtype=np.int64)
+    # paths sorted by switch step: the ones entering regime 1 at step t are
+    # order[entered[t - 1]:entered[t]]
+    order = np.argsort(switch, kind="stable")
+    entered = np.searchsorted(switch[order], np.arange(n + 1), side="right")
+    p_up = np.where(switch <= 0, p.p_up1, p.p_up0)  # move probability of the next step
+    up, down = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
+    p0, p1, stay, favour, denom = (np.empty(m) for _ in range(5))
+
+    def exercise(agent: str, k: int, floor: float, threshold) -> None:
+        candidates = np.flatnonzero((steps[agent] < 0) & (stock >= floor))
+        if candidates.size:
+            hit = candidates[stock[candidates] >= threshold(candidates)]
+            steps[agent][hit] = k
+            prices[agent][hit] = stock[hit]
+
+    for k in range(n + 1):
+        stock = ladder[n - k :: 2][j]  # ladder[2j - k + N]
+        exercise("insider", k, min(b0[k], b1[k]), lambda c: np.where(switch[c] <= k, b1[k], b0[k]))
+        for agent, y in zip(agents[1:], beliefs):
+            exercise(
+                agent, k, surface_floor[k], lambda c: surface_threshold(surface[k], partial_result, y[c])
             )
+        if k == n:
+            break
 
-        pre_switched = draws[:, 0] < params.y0
-        if params.lam == 0.0:
-            switch = np.where(pre_switched, 0.0, inf)
-        else:
-            switch = np.where(pre_switched, 0.0, _switch_step_from_uniform(draws[:, 1], q.q00))
+        p_up[order[entered[k] : entered[k + 1]]] = p.p_up1
+        np.less(draws[k + _ROWS_BEFORE_MOVES], p_up, out=up)
+        j += up
+        # branch-free select: one product is exactly 0, the other the probability
+        np.logical_not(up, out=down)
+        np.add(np.multiply(up, p.p_up0, out=p0), np.multiply(down, p.p_dw0, out=stay), out=p0)
+        np.add(np.multiply(up, p.p_up1, out=p1), np.multiply(down, p.p_dw1, out=stay), out=p1)
+        for y in beliefs:
+            # update_belief's operations, in its order, on the realised move
+            np.subtract(1.0, y, out=stay)
+            np.multiply(q.q01, stay, out=favour)
+            favour += np.multiply(q.q11, y, out=denom)
+            favour *= p1
+            np.multiply(q.q00, stay, out=denom)
+            denom += np.multiply(q.q10, y, out=stay)
+            denom *= p0
+            denom += favour
+            np.divide(favour, denom, out=y)
 
-        j = np.zeros(m, dtype=np.int64)
-        beliefs = {y0: np.full(m, float(y0)) for y0 in belief_starts}
-        done = {a: np.zeros(m, dtype=bool) for a in agents}
-
-        for k in range(n + 1):
-            stock = lattice.spot * lattice.up ** (2.0 * j - k)
-            regime1 = switch <= k
-
-            thr = np.where(regime1, b1[k], b0[k])
-            _record_crossings("insider", stock, thr, k, lo, done, steps, prices)
-
-            for y0 in belief_starts:
-                agent = f"outsider(y0={y0:g})"
-                thr = surface_threshold(surface[k], partial_result, beliefs[y0])
-                _record_crossings(agent, stock, thr, k, lo, done, steps, prices)
-
-            if k == n:
-                break
-            up = draws[:, k + _UNIFORMS_PER_PATH_OVERHEAD] < np.where(
-                switch <= k + 1, p.p_up1, p.p_up0
-            )
-            j += up
-            for y0 in belief_starts:
-                y = beliefs[y0]
-                beliefs[y0] = np.where(
-                    up, update_belief(y, "up", q, p), update_belief(y, "dw", q, p)
-                )
-
-    payoffs = {}
-    for a in agents:
-        s = steps[a]
+    disc = _discount_factors(full_result)
+    out = {}
+    for agent in agents:
+        s, x = steps[agent], prices[agent]
         exercised = s >= 0
-        pay = np.zeros(n_paths)
-        pay[exercised] = disc_factors[s[exercised]] * np.maximum(
-            prices[a][exercised] - params.strike, 0.0
-        )
-        payoffs[a] = pay
-
-    return {
-        a: AgentOutcomes(agent=a, exercise_step=steps[a], exercise_price=prices[a], payoff=payoffs[a])
-        for a in agents
-    }
-
-
-def _record_crossings(agent, stock, threshold, k, offset, done, steps, prices) -> None:
-    newly = ~done[agent] & (stock >= threshold)
-    if newly.any():
-        idx = np.nonzero(newly)[0]
-        steps[agent][offset + idx] = k
-        prices[agent][offset + idx] = stock[idx]
-        done[agent][idx] = True
+        payoff = np.zeros(m)
+        payoff[exercised] = disc[s[exercised]] * np.maximum(x[exercised] - params.strike, 0.0)
+        out[agent] = AgentOutcomes(agent=agent, exercise_step=s, exercise_price=x, payoff=payoff)
+    return out
 
 
 @dataclass(frozen=True)
@@ -358,35 +397,8 @@ def _stats_from_arrays(outcomes: AgentOutcomes, h: float) -> AgentStats:
     )
 
 
-def aggregate_stats(
-    outcomes: Mapping[str, AgentOutcomes] | Iterable[Sequence[ExerciseOutcome]],
-    h: float,
-) -> SummaryTable:
-    """Summarise per-agent payoffs and insider-vs-outsider differences.
-
-    Accepts either the vectorised batch output or per-path lists of
-    ExerciseOutcome (each path must report every agent, in the same order).
-    """
-    if not isinstance(outcomes, Mapping):
-        by_agent: dict[str, list[ExerciseOutcome]] = {}
-        for per_path in outcomes:
-            for o in per_path:
-                by_agent.setdefault(o.agent, []).append(o)
-        counts = {len(v) for v in by_agent.values()}
-        if len(counts) > 1:
-            raise ValueError("every path must report an outcome for every agent")
-        outcomes = {
-            agent: AgentOutcomes(
-                agent=agent,
-                exercise_step=np.array(
-                    [-1 if o.exercise_step is None else o.exercise_step for o in rows], dtype=np.int64
-                ),
-                exercise_price=np.array([o.exercise_price for o in rows]),
-                payoff=np.array([o.payoff for o in rows]),
-            )
-            for agent, rows in by_agent.items()
-        }
-
+def aggregate_stats(outcomes: Mapping[str, AgentOutcomes], h: float) -> SummaryTable:
+    """Summarise per-agent payoffs and insider-vs-outsider differences."""
     agents = [_stats_from_arrays(o, h) for o in outcomes.values()]
     pairs = []
     insider = outcomes.get("insider")
@@ -401,19 +413,3 @@ def aggregate_stats(
                 PairStats(first="insider", second=name, mean_diff=float(np.mean(diff)), se_diff=se)
             )
     return SummaryTable(agents=agents, pairs=pairs)
-
-
-def simulate_batch(
-    params: ModelParams,
-    lattice: Lattice,
-    q: QMatrix,
-    p: RegimeReturnProbs,
-    n_paths: int,
-    master_seed: int,
-    belief_starts: Sequence[float] = (0.0, 0.5),
-) -> list[SimPath]:
-    """Materialise individual paths (for export); heavy for large batches."""
-    return [
-        simulate_joint_path(params, lattice, q, p, (master_seed, i), belief_starts)
-        for i in range(n_paths)
-    ]

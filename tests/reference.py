@@ -2,18 +2,20 @@
 
 Deliberately plain implementations: a single-regime CRR pricer written from
 scratch (no package imports), an Euler scheme for the likelihood-ratio SDE,
-and the full-width backward sweeps of both lattice pricers.  The full-width
-sweeps take their lattice, chain and belief grid from the package but update
-every node of every step, so they check the active-window sweeps bit for bit.
+the full-width backward sweeps of both lattice pricers, and a path-at-a-time
+Monte Carlo replay.  The full-width sweeps take their lattice, chain and
+belief grid from the package but update every node of every step, so they
+check the active-window sweeps bit for bit; the path-at-a-time replay checks
+the vectorised replay engine the same way on identical uniforms.
 """
 
 from __future__ import annotations
 
-from math import exp, inf, sqrt
+from math import exp, floor, inf, isfinite, log, nan, sqrt
 
 import numpy as np
 
-from esocp.filtering import build_grid, predict_return_prob
+from esocp.filtering import _EXACT_HIT_TOL, build_grid, predict_return_prob, update_belief
 from esocp.full_info import first_exercise_prices
 from esocp.lattice import build_lattice, regime_return_probs, transition_matrix
 
@@ -129,3 +131,71 @@ def full_width_price_partial(params, n_steps: int, n_belief: int, keep_slice_at:
         root_layers=U[:, 0].copy(), surface=surface,
         slice_values=slice_values, slice_continuation=slice_continuation,
     )
+
+
+def grid_threshold(surface_row: np.ndarray, n_grid: int, y: float) -> float:
+    """Threshold at one belief: bracket y on the equidistant grid (snapping
+    exact hits), interpolate linearly, never across an infinite layer."""
+    pos = y * (n_grid - 1)
+    nearest = float(round(pos))  # half to even, like np.rint
+    if abs(pos - nearest) <= _EXACT_HIT_TOL:
+        return float(surface_row[min(max(int(nearest), 0), n_grid - 1)])
+    lo = min(max(floor(pos), 0), n_grid - 1)
+    hi = min(lo + 1, n_grid - 1)
+    w = min(max(pos - lo, 0.0), 1.0)
+    s_lo, s_hi = float(surface_row[lo]), float(surface_row[hi])
+    if w == 0.0:
+        return s_lo
+    if isfinite(s_lo) and isfinite(s_hi):
+        return s_lo * (1.0 - w) + s_hi * w
+    return inf
+
+
+def path_at_a_time_replay(full, partial, uniforms: np.ndarray, belief_starts) -> dict:
+    """Replay both policies path by path on a step-major (N + 2, M) uniform matrix.
+
+    Column i is path i: row 0 decides the initial regime, row 1 the switch
+    step, row k + 2 the move over step k (drawn with the probability of the
+    regime at the end of the step).  Stock spot*up**(2j - k), beliefs by the
+    scalar Bayes update, then each threshold is scanned until the first
+    crossing.  Returns per agent (exercise steps, exercise prices, payoffs).
+    """
+    params, lattice, q, p = full.params, full.lattice, full.q, full.p
+    n = lattice.n_steps
+    m = uniforms.shape[1]
+    b = (full.boundary(0), full.boundary(1))
+    disc = np.exp(-params.r * lattice.h * np.arange(n + 1))
+    agents = ["insider"] + [f"outsider(y0={y0:g})" for y0 in belief_starts]
+    out = {a: (np.full(m, -1, dtype=np.int64), np.full(m, nan), np.zeros(m)) for a in agents}
+
+    def record(agent, i, step, stock):
+        steps, prices, payoffs = out[agent]
+        if step is not None:
+            steps[i], prices[i] = step, stock[step]
+            payoffs[i] = disc[step] * max(stock[step] - params.strike, 0.0)
+
+    for i in range(m):
+        u = uniforms[:, i]
+        if u[0] < params.y0:
+            switch = 0
+        elif params.lam == 0.0 or q.q00 >= 1.0:
+            switch = n + 1
+        else:
+            switch = floor(log(u[1]) / log(q.q00)) + 1
+        regime = (np.arange(n + 1) >= switch).astype(int)
+        ups = np.array([u[k + 2] < (p.p_up1 if regime[k + 1] else p.p_up0) for k in range(n)])
+        j = np.concatenate(([0], np.cumsum(ups)))
+        stock = lattice.spot * lattice.up ** (2.0 * j - np.arange(n + 1))
+
+        step = next((k for k in range(n + 1) if stock[k] >= b[regime[k]][k]), None)
+        record("insider", i, step, stock)
+        for agent, y0 in zip(agents[1:], belief_starts):
+            y, step = y0, None
+            for k in range(n + 1):
+                if stock[k] >= grid_threshold(partial.surface[k], partial.grid.n_points, y):
+                    step = k
+                    break
+                if k < n:
+                    y = update_belief(y, "up" if ups[k] else "dw", q, p)
+            record(agent, i, step, stock)
+    return out

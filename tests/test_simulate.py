@@ -15,13 +15,18 @@ from esocp import (
     update_belief,
 )
 from esocp.simulate import (
+    BLOCK,
+    AgentOutcomes,
     SimPath,
     _switch_step_from_uniform,
     aggregate_stats,
+    block_uniforms,
     replay_batch,
-    simulate_batch,
+    replay_draws,
+    surface_threshold,
 )
 
+import reference
 from conftest import BASE
 
 N = 250
@@ -209,24 +214,122 @@ def test_batch_agrees_with_single_paths(machinery, priced):
 
 
 def test_batch_chunking_is_invisible(priced):
+    # chunks are whole blocks; the last block is partly used
     full, partial = priced
-    a = replay_batch(full, partial, 50, 77, (0.5,), chunk_size=7)
-    b = replay_batch(full, partial, 50, 77, (0.5,), chunk_size=50)
-    for agent in a:
-        assert np.array_equal(a[agent].payoff, b[agent].payoff)
-        assert np.array_equal(a[agent].exercise_step, b[agent].exercise_step)
+    n_paths = 2 * BLOCK + 37
+    runs = [
+        replay_batch(full, partial, n_paths, 77, (0.5,), chunk_size=c) for c in (7, 333, BLOCK, 5000)
+    ]
+    for agent in runs[0]:
+        for other in runs[1:]:
+            assert other[agent].payoff.size == n_paths
+            assert np.array_equal(runs[0][agent].payoff, other[agent].payoff)
+            assert np.array_equal(runs[0][agent].exercise_step, other[agent].exercise_step)
+            assert np.array_equal(
+                runs[0][agent].exercise_price, other[agent].exercise_price, equal_nan=True
+            )
+
+
+def test_single_paths_match_batch_across_block_boundaries(machinery, priced):
+    lat, q, p = machinery
+    full, partial = priced
+    batch = replay_batch(full, partial, 2 * BLOCK + 6, 4242, (0.0,), chunk_size=1)
+    for i in (0, BLOCK - 1, BLOCK, 2 * BLOCK + 5):
+        path = simulate_joint_path(BASE, lat, q, p, (4242, i), (0.0,))
+        assert np.array_equal(path.stock[1:] > path.stock[:-1], path.ups)
+        for o in replay_policies(path, full, {0.0: partial}):
+            step = -1 if o.exercise_step is None else o.exercise_step
+            assert batch[o.agent].exercise_step[i] == step
+            assert batch[o.agent].payoff[i] == o.payoff
+    # an int seed s is path 0 of master seed s
+    a = simulate_joint_path(BASE, lat, q, p, 4242, (0.0,))
+    b = simulate_joint_path(BASE, lat, q, p, (4242, 0), (0.0,))
+    assert np.array_equal(a.stock, b.stock) and np.array_equal(a.beliefs[0.0], b.beliefs[0.0])
+
+
+def test_block_stream_is_pinned():
+    # a change in numpy's seeding or PCG64 stream would silently change every
+    # simulated number; it fails here instead
+    golden = [0.5118216247002567, 0.9504636963259353, 0.14415961271963373, 0.9486494471372439]
+    assert block_uniforms(1, 0, 3)[0, :4].tolist() == golden
+    assert np.array_equal(block_uniforms(1, 0, 3).ravel(), np.random.default_rng((1, 0)).random(5 * BLOCK))
+
+
+def _engine_cases():
+    yield "base y0=0", BASE, 60
+    yield "base y0=0.5", replace(BASE, y0=0.5), 60
+    yield "lambda=0", replace(BASE, lam=0.0), 60
+    yield "strike 1e9", replace(BASE, strike=1e9), 60
+    yield "N=1", BASE, 1
+    yield "N=7", replace(BASE, y0=0.5), 7
+
+
+@pytest.mark.parametrize("name,params,n", list(_engine_cases()), ids=[c[0] for c in _engine_cases()])
+def test_replay_engine_matches_path_at_a_time_oracle(name, params, n):
+    full = price_full(params, n)
+    partial = price_partial(params, n, 21, keep_surface=True)
+    draws = block_uniforms(2024, 3, n)
+    belief_starts = (0.0, 0.5)
+    engine = replay_draws(full, partial, draws, belief_starts)
+    oracle = reference.path_at_a_time_replay(full, partial, draws, belief_starts)
+    assert list(engine) == list(oracle)
+    for agent, (steps, prices, payoffs) in oracle.items():
+        assert np.array_equal(engine[agent].exercise_step, steps), agent
+        assert np.array_equal(engine[agent].exercise_price, prices, equal_nan=True), agent
+        assert np.array_equal(engine[agent].payoff, payoffs), agent
+    # thresholds themselves, exact grid hits and infinite layers included
+    ys = np.concatenate((partial.grid.points, draws[0, :50]))
+    for k in range(n + 1):
+        expected = [reference.grid_threshold(partial.surface[k], partial.grid.n_points, y) for y in ys]
+        assert np.array_equal(surface_threshold(partial.surface[k], partial, ys), expected)
+    exercised = sum(int(np.sum(steps >= 0)) for steps, _, _ in oracle.values())
+    if params.strike > 1e6:
+        assert exercised == 0
+    elif n > 1:
+        assert exercised > 0
+
+
+def test_replay_rejects_policies_priced_under_other_parameters(machinery, priced):
+    lat, q, p = machinery
+    full, partial = priced
+    other = price_partial(replace(BASE, strike=150.0, r=0.05), N, 51, keep_surface=True)
+    with pytest.raises(ValueError, match="other parameters"):
+        replay_batch(full, other, 10, 1, (0.0,))
+    path = simulate_joint_path(BASE, lat, q, p, (1, 0))
+    with pytest.raises(ValueError, match="other parameters"):
+        replay_policies(path, full, {0.0: other})
+    # the prior alone may differ: every outsider variant sets its own
+    shifted = price_partial(replace(BASE, y0=0.5), N, 51, keep_surface=True)
+    assert replay_batch(full, shifted, 10, 1, (0.5,))["outsider(y0=0.5)"].payoff.size == 10
+    with pytest.raises(ValueError, match="n_paths"):
+        replay_batch(full, partial, 0, 1, (0.0,))
 
 
 def test_aggregate_single_path_is_identity(machinery, priced):
     lat, q, p = machinery
     full, partial = priced
-    path = simulate_joint_path(BASE, lat, q, p, (6, 0))
-    outcomes = replay_policies(path, full, {0.0: partial})
-    table = aggregate_stats([outcomes], lat.h)
+    batch = replay_batch(full, partial, 1, 6, (0.0,))
+    table = aggregate_stats(batch, lat.h)
     insider = table.agents[0]
     assert insider.n_paths == 1
-    assert insider.mean_payoff == outcomes[0].payoff
+    assert insider.mean_payoff == batch["insider"].payoff[0]
     assert insider.se_payoff == 0.0
+
+
+def _outcomes_from_single_paths(per_path) -> dict[str, AgentOutcomes]:
+    by_agent = {}
+    for outcomes in per_path:
+        for o in outcomes:
+            by_agent.setdefault(o.agent, []).append(o)
+    return {
+        agent: AgentOutcomes(
+            agent=agent,
+            exercise_step=np.array([-1 if o.exercise_step is None else o.exercise_step for o in rows]),
+            exercise_price=np.array([o.exercise_price for o in rows]),
+            payoff=np.array([o.payoff for o in rows]),
+        )
+        for agent, rows in by_agent.items()
+    }
 
 
 def test_aggregate_list_and_batch_agree(machinery, priced):
@@ -236,7 +339,7 @@ def test_aggregate_list_and_batch_agree(machinery, priced):
         replay_policies(simulate_joint_path(BASE, lat, q, p, (55, i)), full, {0.0: partial})
         for i in range(40)
     ]
-    from_lists = aggregate_stats(per_path, lat.h)
+    from_lists = aggregate_stats(_outcomes_from_single_paths(per_path), lat.h)
     from_batch = aggregate_stats(replay_batch(full, partial, 40, 55, (0.0,)), lat.h)
     for a, b in zip(from_lists.agents, from_batch.agents):
         assert a.agent == b.agent
@@ -262,10 +365,3 @@ def test_lattice_mismatch_rejected(machinery, priced):
                                regime_return_probs(BASE, other), 1)
     with pytest.raises(ValueError, match="lattice mismatch"):
         replay_policies(path, full, {0.0: partial})
-
-
-def test_simulate_batch_materialises_substreams(machinery):
-    lat, q, p = machinery
-    paths = simulate_batch(BASE, lat, q, p, 3, 4242, (0.0,))
-    direct = simulate_joint_path(BASE, lat, q, p, (4242, 2), (0.0,))
-    assert np.array_equal(paths[2].stock, direct.stock)
