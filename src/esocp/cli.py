@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from dataclasses import replace
 from math import isfinite
@@ -20,7 +21,7 @@ import numpy as np
 from . import __version__
 from .full_info import FullInfoResult, price_full
 from .lattice import AdmissibilityError
-from .model import ModelParams, ParameterError, load_params, parse_rate, validate
+from .model import PARAM_KEYS, ModelParams, ParameterError, load_params, parse_rate, validate
 from .partial_info import price_partial
 from .perpetual import (
     BracketError,
@@ -96,17 +97,7 @@ class _Output:
         self.manifest.append((key, str(value)))
 
     def record_params(self, params: ModelParams) -> None:
-        for file_key, field in (
-            ("mu0", "mu0"),
-            ("mu1", "mu1"),
-            ("sigma", "sigma"),
-            ("lambda", "lam"),
-            ("r", "r"),
-            ("strike", "strike"),
-            ("maturity", "maturity"),
-            ("spot", "spot"),
-            ("y0", "y0"),
-        ):
+        for file_key, field in PARAM_KEYS.items():
             self.record(file_key, getattr(params, field))
 
     def emit_manifest(self) -> None:
@@ -125,6 +116,54 @@ class _Output:
             for row in rows:
                 writer.writerow([_fmt(v) if isinstance(v, float) else str(v) for v in row])
         print(f"wrote {self.out_dir / name}")
+
+
+def _check_beliefs(beliefs) -> None:
+    for y0 in beliefs:
+        if not 0.0 <= y0 <= 1.0:
+            raise UsageError(f"--y0 must lie in [0, 1], got {y0}")
+
+
+def _ordered_map(fn, items):
+    """Yield fn(item) for each item, in order, across the usable cores.
+
+    fn must be a module-level function (workers receive it by import path).
+    Workers are forked, so they start with every module this process has
+    imported; the pool modules are imported here, not at the top, because
+    importing them costs every other subcommand about 20 ms.  With one usable
+    core or one item, no fork start method, or other threads running (a
+    forked child would inherit the locks they hold), this is the in-process
+    map.  An exception raised by fn is re-raised here when its item comes up.
+    """
+    items = list(items)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(items), cpus)
+    if workers > 1:
+        import multiprocessing
+        import threading
+
+        if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                yield from pool.map(fn, items)
+            return
+    yield from map(fn, items)
+
+
+def _roots(job: tuple[ModelParams, int, int, bool, bool]) -> tuple[float, ...]:
+    """Root values of one run: v0, v1 (insider runs only), u(0), u(0.5).
+
+    job is (params, N, L, literal_exponent, insider). Plain floats, so a
+    worker sends back only these and not the priced arrays.
+    """
+    params, n, l, literal_exponent, insider = job
+    v = ()
+    if insider:
+        full = price_full(params, n, literal_exponent=literal_exponent, keep_boundaries=False)
+        v = (float(full.v0_root), float(full.v1_root))
+    partial = price_partial(params, n, l, literal_exponent=literal_exponent)
+    return v + (float(partial.root_at(0.0)), float(partial.root_at(0.5)))
 
 
 def _boundary_rows(result: FullInfoResult):
@@ -167,6 +206,7 @@ def cmd_price_full(args: argparse.Namespace) -> int:
 def cmd_price_partial(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
     y0_list = args.y0_list if args.y0_list else [params.y0]
+    _check_beliefs(y0_list)
     out = _Output(args, "price-partial")
     out.record_params(params)
     out.record("N", args.N)
@@ -177,8 +217,6 @@ def cmd_price_partial(args: argparse.Namespace) -> int:
     result = price_partial(params, args.N, args.L, literal_exponent=args.literal_pl_exponent)
     rows = []
     for y0 in y0_list:
-        if not 0.0 <= y0 <= 1.0:
-            raise UsageError(f"--y0 must lie in [0, 1], got {y0}")
         value = result.root_at(y0)
         print(f"u(y0={y0:g}) = {value:.6f}")
         rows.append((y0, float(value)))
@@ -260,6 +298,7 @@ def cmd_perpetual(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
     belief_starts = tuple(args.y0_list) if args.y0_list else (0.0, 0.5)
+    _check_beliefs(belief_starts)
     n_export = min(args.export_paths, args.paths)
     out = _Output(args, "simulate")
     out.record_params(params)
@@ -342,27 +381,26 @@ def cmd_table1(args: argparse.Namespace) -> int:
     out.record("L", args.L)
     out.record("literal_pl_exponent", args.literal_pl_exponent)
     out.emit_manifest()
+    cells = [
+        (mu0, mu1, sigma, lam)
+        for lam in TABLE1_LAMBDA
+        for sigma in TABLE1_SIGMA
+        for mu0 in TABLE1_MU0
+        for mu1 in TABLE1_MU1
+    ]
+    literal = args.literal_pl_exponent
+    jobs = [
+        (replace(params, mu0=mu0, mu1=mu1, sigma=sigma, lam=lam), args.N, args.L, literal, True)
+        for mu0, mu1, sigma, lam in cells
+    ]
     rows = []
     print(f"{'mu0':>5} {'mu1':>5} {'sigma':>6} {'lambda':>6}   {'v0':>7} {'v1':>7} {'u(0)':>7} {'u(0.5)':>7}")
-    for lam in TABLE1_LAMBDA:
-        for sigma in TABLE1_SIGMA:
-            for mu0 in TABLE1_MU0:
-                for mu1 in TABLE1_MU1:
-                    cell = replace(params, mu0=mu0, mu1=mu1, sigma=sigma, lam=lam)
-                    full = price_full(
-                        cell, args.N, literal_exponent=args.literal_pl_exponent, keep_boundaries=False
-                    )
-                    partial = price_partial(
-                        cell, args.N, args.L, literal_exponent=args.literal_pl_exponent
-                    )
-                    u0, u05 = partial.root_at(0.0), partial.root_at(0.5)
-                    rows.append(
-                        (mu0, mu1, sigma, lam, full.v0_root, full.v1_root, float(u0), float(u05))
-                    )
-                    print(
-                        f"{mu0:>5.0%} {mu1:>5.0%} {sigma:>6.0%} {lam:>6.0%}   "
-                        f"{full.v0_root:>7.1f} {full.v1_root:>7.1f} {u0:>7.1f} {u05:>7.1f}"
-                    )
+    for (mu0, mu1, sigma, lam), (v0, v1, u0, u05) in zip(cells, _ordered_map(_roots, jobs)):
+        rows.append((mu0, mu1, sigma, lam, v0, v1, u0, u05))
+        print(
+            f"{mu0:>5.0%} {mu1:>5.0%} {sigma:>6.0%} {lam:>6.0%}   "
+            f"{v0:>7.1f} {v1:>7.1f} {u0:>7.1f} {u05:>7.1f}"
+        )
     out.write_csv(
         "table1.csv", ["mu0", "mu1", "sigma", "lambda", "v0", "v1", "u0", "u05"], rows
     )
@@ -380,21 +418,22 @@ def cmd_converge(args: argparse.Namespace) -> int:
     out.record("literal_pl_exponent", args.literal_pl_exponent)
     out.emit_manifest()
 
+    literal = args.literal_pl_exponent
+    jobs = [(params, n, args.L, literal, True) for n in args.N_list]
+    jobs += [(params, args.N, l, literal, False) for l in args.L_list]
+    # One pool for both tables; each zip stops at the end of its own list
+    # before asking the shared iterator for another result.
+    results = _ordered_map(_roots, jobs)
     n_rows = []
-    for n in args.N_list:
-        full = price_full(params, n, literal_exponent=args.literal_pl_exponent, keep_boundaries=False)
-        partial = price_partial(params, n, args.L, literal_exponent=args.literal_pl_exponent)
-        n_rows.append(
-            (n, full.v0_root, full.v1_root, float(partial.root_at(0.0)), float(partial.root_at(0.5)))
-        )
+    for n, roots in zip(args.N_list, results):
+        n_rows.append((n, *roots))
         print(f"N={n:>6d}: v0={n_rows[-1][1]:.4f} v1={n_rows[-1][2]:.4f} "
               f"u0={n_rows[-1][3]:.4f} u05={n_rows[-1][4]:.4f}")
     out.write_csv("value_vs_n.csv", ["n", "v0", "v1", "u0", "u05"], n_rows)
 
     l_rows = []
-    for l in args.L_list:
-        partial = price_partial(params, args.N, l, literal_exponent=args.literal_pl_exponent)
-        l_rows.append((l, float(partial.root_at(0.0)), float(partial.root_at(0.5))))
+    for l, roots in zip(args.L_list, results):
+        l_rows.append((l, *roots))
         print(f"L={l:>6d}: u0={l_rows[-1][1]:.4f} u05={l_rows[-1][2]:.4f}")
     out.write_csv("value_vs_l.csv", ["l", "u0", "u05"], l_rows)
 

@@ -1,11 +1,14 @@
 import filecmp
+import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from esocp import price_full
+from esocp import cli, price_full, price_partial
 from esocp.cli import main
+from esocp.lattice import AdmissibilityError
 
 from conftest import BASE
 
@@ -19,6 +22,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def in_process_roots(params, n, l, insider=True):
+    partial = price_partial(params, n, l)
+    u = [partial.root_at(0.0), partial.root_at(0.5)]
+    if not insider:
+        return u
+    full = price_full(params, n, keep_boundaries=False)
+    return [full.v0_root, full.v1_root] + u
+
+
+def one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+def _item_and_pid(item):
+    return item, os.getpid()
 
 
 def test_price_full_prints_roots(capsys):
@@ -172,6 +192,52 @@ def test_table1_structure_at_toy_resolution(tmp_path, capsys):
         assert float(u05) <= float(u0) + 1e-9
         assert float(v1) <= float(v0) + 1e-9
     assert all(len(v) == 1 for v in by_block.values())
+    # every cell, priced in a worker or not, carries the in-process roots bit for bit
+    for mu0, mu1, sigma, lam, *roots in cells:
+        cell = replace(BASE, mu0=float(mu0), mu1=float(mu1), sigma=float(sigma), lam=float(lam))
+        assert [float(v) for v in roots] == in_process_roots(cell, 40, 11)
+
+
+def test_table1_bytes_do_not_depend_on_the_cpu_count(tmp_path, capsys, monkeypatch):
+    args = ("table1", "--N", "20", "--L", "5", "--out")
+    assert run(capsys, *args, str(tmp_path / "pool"))[0] == 0
+    one_cpu(monkeypatch)
+    assert run(capsys, *args, str(tmp_path / "serial"))[0] == 0
+    for name in ("table1.csv", "manifest.txt"):
+        assert filecmp.cmp(tmp_path / "pool" / name, tmp_path / "serial" / name, shallow=False), name
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) < 2, reason="one usable CPU")
+def test_ordered_map_runs_items_in_worker_processes_in_order():
+    results = list(cli._ordered_map(_item_and_pid, range(7)))
+    assert [item for item, _ in results] == list(range(7))
+    assert os.getpid() not in {pid for _, pid in results}
+
+
+@pytest.mark.parametrize("cpus", ["all", "one"])
+def test_worker_error_keeps_exit_code_and_message(capsys, monkeypatch, cpus):
+    if cpus == "one":
+        one_cpu(monkeypatch)
+    # the first cell of the grid is BASE with sigma = 20%
+    with pytest.raises(AdmissibilityError) as expected:
+        price_full(replace(BASE, sigma=0.2, maturity=100.0), 1)
+    code, out, err = run(capsys, "table1", "--N", "1", "--maturity", "100")
+    assert code == 1
+    assert err == f"error: {expected.value}\n"
+    assert out.splitlines()[-1].split() == ["mu0", "mu1", "sigma", "lambda", "v0", "v1", "u(0)", "u(0.5)"]
+
+
+@pytest.mark.parametrize("command", ["price-partial", "simulate"])
+def test_belief_outside_unit_interval_is_rejected_before_pricing(capsys, monkeypatch, command):
+    def no_pricing(*args, **kwargs):
+        raise AssertionError("priced before validating --y0")
+
+    monkeypatch.setattr(cli, "price_full", no_pricing)
+    monkeypatch.setattr(cli, "price_partial", no_pricing)
+    code, out, err = run(capsys, command, "--y0", "0.5", "--y0", "1.5")
+    assert code == 2
+    assert err == "error: --y0 must lie in [0, 1], got 1.5\n"
+    assert out == ""
 
 
 def test_converge_outputs(tmp_path, capsys):
@@ -186,6 +252,10 @@ def test_converge_outputs(tmp_path, capsys):
     assert n_rows[0] == "n,v0,v1,u0,u05" and len(n_rows) == 3
     assert l_rows[0] == "l,u0,u05" and len(l_rows) == 3
     assert "|v0(N=100) - v0(N=50)|" in out
+    for n, *roots in (r.split(",") for r in n_rows[1:]):
+        assert [float(v) for v in roots] == in_process_roots(BASE, int(n), 21)
+    for l, *roots in (r.split(",") for r in l_rows[1:]):
+        assert [float(v) for v in roots] == in_process_roots(BASE, 100, int(l), insider=False)
 
 
 def test_literal_exponent_flag_changes_values(capsys):
