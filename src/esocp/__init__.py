@@ -28,7 +28,7 @@ from .lattice import (
     transition_matrix,
 )
 from .model import DerivedConstants, ModelParams, ParameterError, Regime, derived, load_params, validate
-from .partial_info import PartialInfoResult, extract_surface, price_partial, price_partial_exact
+from .partial_info import PartialInfoResult, price_partial, price_partial_exact
 from .perpetual import NoFiniteBoundary, PerpetualSolution, solve_perpetual, verify_odes
 from .simulate import ExerciseOutcome, SimPath, aggregate_stats, replay_policies, simulate_joint_path
 
@@ -54,7 +54,6 @@ __all__ = [
     "build_lattice",
     "derived",
     "extract_boundary",
-    "extract_surface",
     "joint_full_info_transitions",
     "likelihood_ratio_quadrature",
     "load_params",

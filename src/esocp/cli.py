@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 from dataclasses import replace
 from math import isfinite
@@ -19,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._workers import ordered_map
 from .full_info import FullInfoResult, price_full
 from .lattice import AdmissibilityError
 from .model import PARAM_KEYS, ModelParams, ParameterError, load_params, parse_rate, validate
@@ -122,33 +122,6 @@ def _check_beliefs(beliefs) -> None:
     for y0 in beliefs:
         if not 0.0 <= y0 <= 1.0:
             raise UsageError(f"--y0 must lie in [0, 1], got {y0}")
-
-
-def _ordered_map(fn, items):
-    """Yield fn(item) for each item, in order, across the usable cores.
-
-    fn must be a module-level function (workers receive it by import path).
-    Workers are forked, so they start with every module this process has
-    imported; the pool modules are imported here, not at the top, because
-    importing them costs every other subcommand about 20 ms.  With one usable
-    core or one item, no fork start method, or other threads running (a
-    forked child would inherit the locks they hold), this is the in-process
-    map.  An exception raised by fn is re-raised here when its item comes up.
-    """
-    items = list(items)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(items), cpus)
-    if workers > 1:
-        import multiprocessing
-        import threading
-
-        if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                yield from pool.map(fn, items)
-            return
-    yield from map(fn, items)
 
 
 def _roots(job: tuple[ModelParams, int, int, bool, bool]) -> tuple[float, ...]:
@@ -395,7 +368,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     ]
     rows = []
     print(f"{'mu0':>5} {'mu1':>5} {'sigma':>6} {'lambda':>6}   {'v0':>7} {'v1':>7} {'u(0)':>7} {'u(0.5)':>7}")
-    for (mu0, mu1, sigma, lam), (v0, v1, u0, u05) in zip(cells, _ordered_map(_roots, jobs)):
+    for (mu0, mu1, sigma, lam), (v0, v1, u0, u05) in zip(cells, ordered_map(_roots, jobs)):
         rows.append((mu0, mu1, sigma, lam, v0, v1, u0, u05))
         print(
             f"{mu0:>5.0%} {mu1:>5.0%} {sigma:>6.0%} {lam:>6.0%}   "
@@ -423,7 +396,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
     jobs += [(params, args.N, l, literal, False) for l in args.L_list]
     # One pool for both tables; each zip stops at the end of its own list
     # before asking the shared iterator for another result.
-    results = _ordered_map(_roots, jobs)
+    results = ordered_map(_roots, jobs)
     n_rows = []
     for n, roots in zip(args.N_list, results):
         n_rows.append((n, *roots))

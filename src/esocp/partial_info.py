@@ -51,8 +51,11 @@ class PartialInfoResult:
     node_steps: int = 0  # layer-node updates the sweep performed
 
     def root_at(self, y0) -> float | np.ndarray:
-        """Root value at arbitrary initial beliefs, interpolated on the grid."""
-        out = self.grid.interpolate(self.root_layers, y0)
+        """Root value at initial beliefs in [0, 1], interpolated on the grid."""
+        y = np.asarray(y0, dtype=float)
+        if not np.all((0.0 <= y) & (y <= 1.0)):
+            raise ValueError(f"y0 must lie in [0, 1], got {y0}")
+        out = self.grid.interpolate(self.root_layers, y)
         return float(out) if np.ndim(out) == 0 else out
 
 
@@ -200,24 +203,3 @@ def price_partial_exact(
         value = np.maximum(intrinsic_at(k), cont)
     return float(value[0])
 
-
-def extract_surface(
-    params: ModelParams,
-    n_steps: int,
-    n_belief: int,
-    literal_exponent: bool = False,
-) -> tuple[np.ndarray, PartialInfoResult]:
-    """Exercise surface (step, belief layer) -> threshold price, plus the run.
-
-    Thresholds are extracted on the fly during the backward sweep; retaining
-    every value slice at production sizes would be far larger than the
-    surface itself.
-    """
-    result = price_partial(
-        params,
-        n_steps,
-        n_belief,
-        literal_exponent=literal_exponent,
-        keep_surface=True,
-    )
-    return result.surface, result

@@ -18,6 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._workers import ordered_map, usable_cpus
 from .filtering import update_belief
 from .full_info import FullInfoResult
 from .lattice import Lattice, QMatrix, RegimeReturnProbs
@@ -77,6 +78,12 @@ def _switch_steps(params: ModelParams, q: QMatrix, u_regime, u_switch) -> np.nda
     return np.where(u_regime < params.y0, 0.0, _switch_step_from_uniform(u_switch, q.q00))
 
 
+def _check_beliefs(belief_starts) -> None:
+    for y0 in belief_starts:
+        if not 0.0 <= y0 <= 1.0:
+            raise ValueError(f"belief starts must lie in [0, 1], got {y0}")
+
+
 def simulate_joint_path(
     params: ModelParams,
     lattice: Lattice,
@@ -91,6 +98,7 @@ def simulate_joint_path(
     over a step is drawn with the probability of the regime prevailing at the
     end of that step.
     """
+    _check_beliefs(belief_starts)
     master_seed, index = (seed, 0) if isinstance(seed, (int, np.integer)) else seed
     n = lattice.n_steps
     draws = block_uniforms(master_seed, index // BLOCK, n)[:, index % BLOCK]
@@ -179,6 +187,7 @@ def replay_policies(
     crossing of the surface threshold interpolated at her current belief.
     """
     _check_same_lattice(path.lattice, full_result.lattice, "full-information pricing")
+    _check_beliefs(partial_results)
     strike = full_result.params.strike
     disc = _discount_factors(full_result)
 
@@ -221,34 +230,44 @@ def replay_batch(
     """Simulate n_paths with common random numbers and replay every policy.
 
     Paths are drawn block by block (see the module docstring) and replayed
-    a chunk of whole blocks at a time; chunk_size (paths, rounded up to whole
-    blocks) bounds memory and does not change the results.  All outsider
-    variants share one exercise surface (the value surface does not depend
-    on the initial belief) but carry their own filtered belief paths.
+    a chunk of whole blocks at a time, the chunks side by side in worker
+    processes (``_workers.ordered_map``).  chunk_size (paths, rounded up to
+    whole blocks) bounds memory; it is cut down so that there are at least
+    as many chunks as usable CPUs, and it does not change the results.  Each
+    worker draws its own blocks, so only the outcomes pass between
+    processes.  All outsider variants share one exercise surface (the value
+    surface does not depend on the initial belief) but carry their own
+    filtered belief paths.
     """
     _check_policies(full_result, partial_result, "partial pricing")
+    _check_beliefs(belief_starts)
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     n = full_result.lattice.n_steps
     n_blocks = -(-n_paths // BLOCK)
     if chunk_size is None:
         chunk_size = _DEFAULT_CHUNK_UNIFORMS // (n + _ROWS_BEFORE_MOVES)
-    chunk_blocks = max(1, -(-chunk_size // BLOCK))
-
-    parts = []
-    buffer = np.empty((n + _ROWS_BEFORE_MOVES, min(chunk_blocks, n_blocks) * BLOCK))
-    for first in range(0, n_blocks, chunk_blocks):
-        blocks = range(first, min(first + chunk_blocks, n_blocks))
-        draws = buffer[:, : len(blocks) * BLOCK]
-        for c, b in enumerate(blocks):
-            draws[:, c * BLOCK : (c + 1) * BLOCK] = block_uniforms(master_seed, b, n)
-        parts.append(replay_draws(full_result, partial_result, draws, belief_starts))
+    # at least min(n_blocks, usable CPUs) chunks, so every worker gets one
+    chunk_blocks = max(1, min(-(-chunk_size // BLOCK), n_blocks // usable_cpus()))
+    chunks = [range(first, min(first + chunk_blocks, n_blocks)) for first in range(0, n_blocks, chunk_blocks)]
+    jobs = [(full_result, partial_result, master_seed, blocks, belief_starts) for blocks in chunks]
+    parts = list(ordered_map(_replay_blocks, jobs))
 
     def joined(agent: str, field: str) -> np.ndarray:
         return np.concatenate([getattr(part[agent], field) for part in parts])[:n_paths]
 
     fields = ("exercise_step", "exercise_price", "payoff")
     return {agent: AgentOutcomes(agent, *(joined(agent, f) for f in fields)) for agent in parts[0]}
+
+
+def _replay_blocks(job) -> dict[str, AgentOutcomes]:
+    """Draw the uniforms of a run of blocks and replay every policy on them."""
+    full_result, partial_result, master_seed, blocks, belief_starts = job
+    n = full_result.lattice.n_steps
+    draws = np.empty((n + _ROWS_BEFORE_MOVES, len(blocks) * BLOCK))
+    for c, b in enumerate(blocks):
+        draws[:, c * BLOCK : (c + 1) * BLOCK] = block_uniforms(master_seed, b, n)
+    return replay_draws(full_result, partial_result, draws, belief_starts)
 
 
 def replay_draws(

@@ -8,8 +8,11 @@ insider, the belief grid for the outsider) and step back from maturity with
 Most nodes of the triangle hold a value that is known without sweeping it.
 At step k the sweep keeps explicit values only on a window [lo, hi) of nodes:
 
-* below lo a node cannot finish in the money (every node it reaches has a
-  price <= K), so its value is exactly 0 in every layer;
+* below lo the value is exactly 0 in every layer.  At maturity these are the
+  nodes priced at or below K; earlier, the nodes both of whose children are
+  already there.  The sweep also drops the bottom run of computed nodes whose
+  values are exactly 0 in every layer (far out of the money they underflow)
+  after each step, so the next step's window starts one node below;
 * from hi up the value is exactly the intrinsic S - K in every layer.  A node
   gets there in one of two ways.  Either the sweep computed it and found
   U == S - K in every layer (the top run of such nodes is dropped from the
@@ -84,6 +87,18 @@ def _exercised_from(values: np.ndarray, intrinsic: np.ndarray, chunk: int = 16) 
     return 0
 
 
+def _zeros_below(values: np.ndarray, chunk: int = 16) -> int:
+    """Length of the bottom run of columns that are exactly 0 in every layer."""
+    width = values.shape[1]
+    if width == 0 or values[:, 0].any():
+        return 0
+    for start in range(0, width, chunk):
+        nonzero = np.flatnonzero(values[:, start : start + chunk].any(axis=0))
+        if nonzero.size:
+            return start + int(nonzero[0])
+    return width
+
+
 def backward_sweep(
     lattice: Lattice,
     strike: float,
@@ -124,8 +139,8 @@ def backward_sweep(
     values = np.empty((n_layers, 0))
     for k in range(n - 1, -1, -1):
         base = n - k  # ladder index of node (k, 0)
-        # Node (k, j) reaches ladder indices up to base + 2j + (n - k) = 2(base + j).
-        new_lo = min(max((itm + 1) // 2 - base, 0), k + 1)
+        # Both children of the nodes below lo - 1 are exactly 0 in every layer.
+        new_lo = min(max(lo - 1, 0), k + 1)
         new_hi = min(max(hi, (cut - base + 1) // 2, new_lo), k + 1)
         if k in full_width:
             new_lo, new_hi = 0, k + 1
@@ -155,16 +170,17 @@ def backward_sweep(
             if k in full_width:
                 slices[k] = (updated, cont)
             kept = _exercised_from(updated, intrinsic)
-            values = updated[:, :kept]
-            top = new_lo + kept
+            dead = _zeros_below(updated[:, :kept])
+            values = updated[:, dead:kept]
+            bottom, top = new_lo + dead, new_lo + kept
         else:
-            top = new_lo
+            bottom = top = new_lo
             values = np.empty((n_layers, 0))
         if surface is not None:
             # Nodes from new_hi up are exercised, so new_hi is the first one
             # unless the window exercises earlier.
             surface[k] = first if new_hi > k else np.where(np.isinf(first), ladder[base + 2 * new_hi], first)
-        lo, hi = new_lo, top
+        lo, hi = bottom, top
 
     if lo > 0:
         root = np.zeros(n_layers)

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -22,6 +23,11 @@ BASE = ModelParams(
 
 PRODUCTION_N = 2500
 PRODUCTION_L = 250
+
+
+def one_cpu(monkeypatch):
+    """Make the worker pools see a single usable CPU (so they run in-process)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
 
 @pytest.fixture(scope="session")

@@ -6,11 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from esocp import cli, price_full, price_partial
+from esocp import _workers, cli, price_full, price_partial
 from esocp.cli import main
 from esocp.lattice import AdmissibilityError
 
-from conftest import BASE
+from conftest import BASE, one_cpu
 
 PARAM_FILE = (
     "mu0=2%\nmu1=-2%\nsigma=30%\nlambda=10%\nr=2.5%\n"
@@ -31,10 +31,6 @@ def in_process_roots(params, n, l, insider=True):
         return u
     full = price_full(params, n, keep_boundaries=False)
     return [full.v0_root, full.v1_root] + u
-
-
-def one_cpu(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
 
 def _item_and_pid(item):
@@ -209,7 +205,7 @@ def test_table1_bytes_do_not_depend_on_the_cpu_count(tmp_path, capsys, monkeypat
 
 @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) < 2, reason="one usable CPU")
 def test_ordered_map_runs_items_in_worker_processes_in_order():
-    results = list(cli._ordered_map(_item_and_pid, range(7)))
+    results = list(_workers.ordered_map(_item_and_pid, range(7)))
     assert [item for item, _ in results] == list(range(7))
     assert os.getpid() not in {pid for _, pid in results}
 

@@ -6,7 +6,6 @@ import pytest
 
 from esocp import (
     build_lattice,
-    extract_surface,
     predict_return_prob,
     price_full,
     price_partial,
@@ -90,6 +89,15 @@ def test_root_interpolation_hits_grid_exactly():
     assert min(lo, hi) <= partial.root_at(mid) <= max(lo, hi)
 
 
+@pytest.mark.parametrize("y0", [1.5, -0.5, 1.0 + 1e-12, float("nan"), [0.2, 1.5]])
+def test_root_at_rejects_beliefs_outside_unit_interval(y0):
+    partial = price_partial(BASE, 50, 11)
+    with pytest.raises(ValueError, match=r"y0 must lie in \[0, 1\]"):
+        partial.root_at(y0)
+    assert partial.root_at(1.0) == partial.root_layers[-1]
+    assert partial.root_at(0.0) == partial.root_layers[0]
+
+
 def test_default_start_uses_model_prior():
     p = replace(BASE, y0=0.4)
     partial = price_partial(p, 100, 51)
@@ -99,14 +107,14 @@ def test_default_start_uses_model_prior():
 
 def test_surface_shape_and_terminal_row():
     n = 200
-    surface, result = extract_surface(BASE, n, 51)
+    surface = price_partial(BASE, n, 51, keep_surface=True).surface
     assert surface.shape == (n + 1, 51)
     assert np.all(surface[n] == BASE.strike)
-    assert result.surface is surface
+    assert price_partial(BASE, n, 51).surface is None
 
 
 def test_surface_monotone_in_belief():
-    surface, _ = extract_surface(BASE, 300, 61)
+    surface = price_partial(BASE, 300, 61, keep_surface=True).surface
     finite = np.isfinite(surface)
     for k in range(surface.shape[0]):
         row = surface[k]
@@ -120,12 +128,13 @@ def test_surface_monotone_in_belief():
 def test_surface_certain_belief_matches_switched_boundary():
     n = 300
     full = price_full(BASE, n)
-    surface, _ = extract_surface(BASE, n, 61)
+    surface = price_partial(BASE, n, 61, keep_surface=True).surface
     assert np.array_equal(surface[:, -1], full.boundary(1))
 
 
 def test_surface_nonincreasing_in_time_up_to_one_node():
-    surface, result = extract_surface(BASE, 300, 41)
+    result = price_partial(BASE, 300, 41, keep_surface=True)
+    surface = result.surface
     allowance = 2.0 * log(result.lattice.up) + 1e-12
     for l in range(41):
         col = surface[:, l]

@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 from math import exp
 
@@ -14,6 +15,7 @@ from esocp import (
     transition_matrix,
     update_belief,
 )
+from esocp import _workers, simulate
 from esocp.simulate import (
     BLOCK,
     AgentOutcomes,
@@ -27,7 +29,7 @@ from esocp.simulate import (
 )
 
 import reference
-from conftest import BASE
+from conftest import BASE, one_cpu
 
 N = 250
 
@@ -228,6 +230,97 @@ def test_batch_chunking_is_invisible(priced):
             assert np.array_equal(
                 runs[0][agent].exercise_price, other[agent].exercise_price, equal_nan=True
             )
+
+
+def assert_same_outcomes(a, b):
+    assert list(a) == list(b)
+    for agent in a:
+        assert np.array_equal(a[agent].exercise_step, b[agent].exercise_step)
+        assert np.array_equal(a[agent].exercise_price, b[agent].exercise_price, equal_nan=True)
+        assert np.array_equal(a[agent].payoff, b[agent].payoff)
+
+
+@pytest.mark.parametrize("n_paths", [BLOCK + 1, 3 * BLOCK, 4 * BLOCK + 37])
+def test_pooled_replay_equals_in_process_replay(priced, monkeypatch, n_paths):
+    full, partial = priced
+    pooled = {c: replay_batch(full, partial, n_paths, 19, (0.0, 0.5), chunk_size=c) for c in (7, BLOCK, None)}
+    one_cpu(monkeypatch)
+    serial = replay_batch(full, partial, n_paths, 19, (0.0, 0.5))
+    for run in pooled.values():
+        assert_same_outcomes(run, serial)
+    n_blocks = -(-n_paths // BLOCK)
+    draws = np.hstack([block_uniforms(19, b, N) for b in range(n_blocks)])
+    whole = replay_draws(full, partial, draws, (0.0, 0.5))
+    for agent, outcome in serial.items():
+        assert np.array_equal(outcome.payoff, whole[agent].payoff[:n_paths])
+        assert np.array_equal(outcome.exercise_step, whole[agent].exercise_step[:n_paths])
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4, 8])
+def test_every_usable_cpu_gets_a_chunk(priced, monkeypatch, cpus):
+    full, partial = priced
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    chunks = []
+
+    def in_process(fn, items):
+        chunks.append(len(items))
+        return map(fn, items)
+
+    monkeypatch.setattr(simulate, "ordered_map", in_process)
+    block_counts = (1, 2, 3, 5, 9)
+    for n_blocks in block_counts:
+        replay_batch(full, partial, n_blocks * BLOCK - 1, 3, (0.5,))
+    if cpus == 1:
+        assert chunks == [1] * len(block_counts)  # the default chunk holds 16 blocks at N=250
+    else:
+        assert all(n >= min(n_blocks, cpus) for n, n_blocks in zip(chunks, block_counts))
+
+
+_real_replay_blocks = simulate._replay_blocks
+_chunk_pids = []
+
+
+def _replay_blocks_recording_pid(job):
+    _chunk_pids.append(os.getpid())
+    return _real_replay_blocks(job)
+
+
+def _replay_in_worker(job):
+    full, partial, n_paths = job
+    return os.getpid(), replay_batch(full, partial, n_paths, 5, (0.5,), chunk_size=BLOCK), list(_chunk_pids)
+
+
+@pytest.mark.skipif(_workers.usable_cpus() < 2, reason="one usable CPU")
+def test_replay_inside_a_worker_runs_in_process(priced, monkeypatch):
+    full, partial = priced
+    monkeypatch.setattr(simulate, "_replay_blocks", _replay_blocks_recording_pid)
+    runs = list(_workers.ordered_map(_replay_in_worker, [(full, partial, 3 * BLOCK)] * 2))
+    monkeypatch.setattr(simulate, "_replay_blocks", _real_replay_blocks)
+    serial = replay_batch(full, partial, 3 * BLOCK, 5, (0.5,))
+    for pid, outcomes, chunk_pids in runs:
+        assert pid != os.getpid()
+        assert chunk_pids == [pid] * 3  # three chunks, all in the worker itself
+        assert_same_outcomes(outcomes, serial)
+
+
+@pytest.mark.parametrize("y0", [1.5, -0.3, float("nan")])
+def test_beliefs_outside_unit_interval_are_rejected_before_drawing(machinery, priced, monkeypatch, y0):
+    lat, q, p = machinery
+    full, partial = priced
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew or forked before checking the belief starts")
+
+    monkeypatch.setattr(simulate, "block_uniforms", no_draws)
+    monkeypatch.setattr(simulate, "ordered_map", no_draws)
+    with pytest.raises(ValueError, match="belief starts must lie in"):
+        replay_batch(full, partial, 2000, 1, (0.5, y0))
+    with pytest.raises(ValueError, match="belief starts must lie in"):
+        simulate_joint_path(BASE, lat, q, p, (1, 0), (0.0, y0))
+    monkeypatch.undo()
+    path = simulate_joint_path(BASE, lat, q, p, (1, 0), (0.0,))
+    with pytest.raises(ValueError, match="belief starts must lie in"):
+        replay_policies(path, full, {0.0: partial, y0: partial})
 
 
 def test_single_paths_match_batch_across_block_boundaries(machinery, priced):

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from esocp import NonFiniteResultError, price_european_reference, price_full, price_partial
+from esocp import NonFiniteResultError, price_european_reference, price_full, price_partial, sweep
 
 from conftest import BASE
 from reference import full_width_price_full, full_width_price_partial
@@ -77,3 +77,38 @@ def test_overflowing_lattice_raises():
             price_european_reference(OVERFLOW, OVERFLOW_N, regime=0)
         with pytest.raises(NonFiniteResultError):
             price_european_reference(OVERFLOW, OVERFLOW_N, y0=0.5)
+
+
+# Up-moves so unlikely (mu0 just above the admissibility bound -sigma/sqrt(h))
+# that the values of deep out-of-the-money nodes underflow to exactly 0.
+UNDERFLOW = replace(BASE, mu0=-2.95, mu1=-2.96)
+UNDERFLOW_N = 1000
+
+
+def test_zero_run_is_trimmed_without_changing_a_bit(monkeypatch):
+    want_full = full_width_price_full(UNDERFLOW, UNDERFLOW_N)
+    want_partial = full_width_price_partial(UNDERFLOW, UNDERFLOW_N, N_BELIEF, keep_slice_at=UNDERFLOW_N // 2)
+    full = price_full(UNDERFLOW, UNDERFLOW_N)
+    partial = price_partial(
+        UNDERFLOW, UNDERFLOW_N, N_BELIEF, keep_surface=True, keep_slice_at=UNDERFLOW_N // 2
+    )
+    assert (full.v0_root, full.v1_root) == (want_full["v0_root"], want_full["v1_root"])
+    assert np.array_equal(full.boundary0, want_full["boundary0"])
+    assert np.array_equal(full.boundary1, want_full["boundary1"])
+    for name in ("root_layers", "surface", "slice_values", "slice_continuation"):
+        assert np.array_equal(getattr(partial, name), want_partial[name]), name
+    # the retained slice has far more zero nodes than never-in-the-money ones
+    k = UNDERFLOW_N // 2
+    best_at_maturity = full.lattice.price_ladder()[2 * (UNDERFLOW_N - k + np.arange(k + 1))]
+    never_in_the_money = np.count_nonzero(best_at_maturity <= UNDERFLOW.strike)
+    assert np.count_nonzero(np.all(partial.slice_values == 0.0, axis=0)) > never_in_the_money + 100
+
+    plain = price_partial(UNDERFLOW, UNDERFLOW_N, N_BELIEF, keep_surface=True)
+    # without the trim the window starts at the never-in-the-money edge
+    monkeypatch.setattr(sweep, "_zeros_below", lambda values: 0)
+    untrimmed_full = price_full(UNDERFLOW, UNDERFLOW_N)
+    untrimmed_partial = price_partial(UNDERFLOW, UNDERFLOW_N, N_BELIEF, keep_surface=True)
+    assert (untrimmed_full.v0_root, untrimmed_full.v1_root) == (full.v0_root, full.v1_root)
+    assert np.array_equal(untrimmed_partial.surface, partial.surface)
+    assert full.node_steps < 0.6 * untrimmed_full.node_steps
+    assert plain.node_steps < 0.6 * untrimmed_partial.node_steps
