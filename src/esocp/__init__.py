@@ -15,7 +15,7 @@ from .filtering import (
     simulate_continuous_filter,
     update_belief,
 )
-from .full_info import FullInfoResult, extract_boundary, price_european_reference, price_full
+from .full_info import FullInfoResult, price_european_reference, price_full
 from .lattice import (
     AdmissibilityError,
     Lattice,
@@ -53,7 +53,6 @@ __all__ = [
     "build_grid",
     "build_lattice",
     "derived",
-    "extract_boundary",
     "joint_full_info_transitions",
     "likelihood_ratio_quadrature",
     "load_params",

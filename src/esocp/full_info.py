@@ -55,8 +55,6 @@ class FullInfoResult:
     lattice: Lattice
     q: QMatrix
     p: RegimeReturnProbs
-    slices0: list[np.ndarray] | None = None  # per-step value arrays, kept on request
-    slices1: list[np.ndarray] | None = None
     node_steps: int = 0  # layer-node updates the sweep performed (2 layers: the regimes)
 
     def root(self, regime: int) -> float:
@@ -74,15 +72,13 @@ def price_full(
     n_steps: int,
     literal_exponent: bool = False,
     keep_boundaries: bool = True,
-    keep_slices: bool = False,
 ) -> FullInfoResult:
     """Value the option under full information on an N-step lattice.
 
     v(k, x, i) = max{(x-K)+, disc * sum_j q_ij [p_up,j v(k+1, x*up, j)
                                                + p_dw,j v(k+1, x*dw, j)]},
     terminal value (x-K)+, both regime trees swept together as the two layers
-    of one active-window sweep (see ``sweep``).  ``keep_slices`` sweeps every
-    step at full width and keeps its value arrays.
+    of one active-window sweep (see ``sweep``).
     """
     lattice = build_lattice(params, n_steps)
     q = transition_matrix(params.lam, lattice.h)
@@ -105,18 +101,13 @@ def price_full(
         np.array([q.q00 * p.p_dw0 + q.q01 * p.p_dw1, p.p_dw1]),
         continuation,
         thresholds=first_exercise_prices if keep_boundaries else None,
-        full_width=range(n_steps) if keep_slices else (),
     )
     v0_root, v1_root = (float(v) for v in run.root)
     check_finite("full-information root value", (v0_root, v1_root))
 
-    boundary0 = boundary1 = slices0 = slices1 = None
+    boundary0 = boundary1 = None
     if keep_boundaries:
         boundary0, boundary1 = run.thresholds.T.copy()
-    if keep_slices:
-        terminal = np.maximum(lattice.level_prices(n_steps) - params.strike, 0.0)
-        slices0 = [run.slices[k][0][0] for k in range(n_steps)] + [terminal]
-        slices1 = [run.slices[k][0][1] for k in range(n_steps)] + [terminal.copy()]
 
     return FullInfoResult(
         v0_root=v0_root,
@@ -127,8 +118,6 @@ def price_full(
         lattice=lattice,
         q=q,
         p=p,
-        slices0=slices0,
-        slices1=slices1,
         node_steps=run.node_steps,
     )
 
@@ -166,31 +155,3 @@ def price_european_reference(
     check_finite("European reference value", value)
     return value
 
-
-def extract_boundary(result: FullInfoResult, regime: int) -> np.ndarray:
-    """Boundary sequence recomputed from retained value slices.
-
-    Continuations are rebuilt one step ahead from the slices, so the output
-    agrees with the boundaries extracted during the sweep itself.
-    """
-    if result.slices0 is None or result.slices1 is None:
-        raise ValueError("value slices were not retained for this run")
-    lattice, q, p = result.lattice, result.q, result.p
-    strike = result.params.strike
-    disc = exp(-result.params.r * lattice.h)
-
-    boundary = np.full(lattice.n_steps + 1, inf)
-    boundary[lattice.n_steps] = strike
-    for k in range(lattice.n_steps):
-        v0, v1 = result.slices0[k + 1], result.slices1[k + 1]
-        if regime == 1:
-            cont = disc * (p.p_up1 * v1[1:] + p.p_dw1 * v1[:-1])
-        else:
-            cont = disc * (
-                q.q00 * (p.p_up0 * v0[1:] + p.p_dw0 * v0[:-1])
-                + q.q01 * (p.p_up1 * v1[1:] + p.p_dw1 * v1[:-1])
-            )
-        prices = lattice.level_prices(k)
-        intrinsic = np.maximum(prices - strike, 0.0)
-        boundary[k] = first_exercise_prices(prices, strike, intrinsic, cont)
-    return boundary

@@ -127,11 +127,10 @@ def price_partial(
         p_dw,
         continuation,
         thresholds=first_exercise_prices if keep_surface else None,
-        full_width=() if keep_slice_at is None else (keep_slice_at,),
+        keep_slice_at=keep_slice_at,
     )
     root_layers = run.root
     check_finite("partial-information root value", root_layers)
-    slice_values, slice_continuation = run.slices.get(keep_slice_at, (None, None))
     root = float(grid.interpolate(root_layers, y0))
     return PartialInfoResult(
         root=root,
@@ -144,8 +143,8 @@ def price_partial(
         grid=grid,
         surface=run.thresholds,
         slice_step=keep_slice_at,
-        slice_values=slice_values,
-        slice_continuation=slice_continuation,
+        slice_values=run.slice_values,
+        slice_continuation=run.slice_continuation,
         node_steps=run.node_steps,
     )
 

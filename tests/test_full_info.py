@@ -4,10 +4,10 @@ from math import inf, log
 import numpy as np
 import pytest
 
-from esocp import extract_boundary, price_european_reference, price_full
+from esocp import build_lattice, price_european_reference, price_full
 
 from conftest import BASE
-from reference import crr_american_call, crr_european_call
+from reference import crr_american_call, crr_european_call, full_width_price_full
 
 
 def test_no_switch_reduces_to_plain_crr():
@@ -74,18 +74,22 @@ def test_vanishing_horizon_collapses_to_intrinsic():
     assert price_european_reference(p, 1, regime=0) == pytest.approx(30.0, abs=1e-3)
 
 
+# The value slices come from the full-width reference sweep, which test_sweep
+# pins bit for bit against the active-window sweep's roots and boundaries.
+
+
 def test_value_dominance_nodewise():
-    result = price_full(BASE, 60, keep_slices=True)
-    for v0, v1 in zip(result.slices0, result.slices1):
+    result = full_width_price_full(BASE, 60)
+    for v0, v1 in zip(result["slices0"], result["slices1"]):
         assert np.all(v0 >= v1 - 1e-12)
 
 
 def test_slices_monotone_and_convex_in_price():
-    result = price_full(BASE, 60, keep_slices=True)
-    lat = result.lattice
+    result = full_width_price_full(BASE, 60)
+    lat = build_lattice(BASE, 60)
     for k in range(61):
         prices = lat.level_prices(k)
-        for values in (result.slices0[k], result.slices1[k]):
+        for values in (result["slices0"][k], result["slices1"][k]):
             assert np.all(np.diff(values) >= -1e-10)
             if k >= 2:
                 slopes = np.diff(values) / np.diff(prices)
@@ -94,8 +98,8 @@ def test_slices_monotone_and_convex_in_price():
 
 def test_time_decay_at_fixed_price():
     # same parity => same node price two steps later, shifted one index up
-    result = price_full(BASE, 60, keep_slices=True)
-    for slices in (result.slices0, result.slices1):
+    result = full_width_price_full(BASE, 60)
+    for slices in (result["slices0"], result["slices1"]):
         for k in range(0, 59):
             now, later = slices[k], slices[k + 2]
             assert np.all(now >= later[1:-1] - 1e-10)
@@ -120,15 +124,3 @@ def test_boundaries_nonincreasing_up_to_one_node():
         logs = np.log(b[fin])
         assert np.all(np.diff(logs) <= allowance)
 
-
-def test_extract_boundary_matches_sweep():
-    result = price_full(BASE, 80, keep_slices=True)
-    for regime in (0, 1):
-        recomputed = extract_boundary(result, regime)
-        assert np.array_equal(recomputed, result.boundary(regime))
-
-
-def test_extract_boundary_requires_slices():
-    result = price_full(BASE, 20)
-    with pytest.raises(ValueError, match="slices"):
-        extract_boundary(result, 0)

@@ -3,8 +3,12 @@ from math import exp, log
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from esocp import (
+    AdmissibilityError,
+    ModelParams,
     build_lattice,
     predict_return_prob,
     price_full,
@@ -187,3 +191,46 @@ def test_input_validation():
         price_partial(BASE, 100, 11, keep_slice_at=100)
     with pytest.raises(ValueError):
         price_partial_exact(BASE, 10, y0=-0.2)
+
+
+@st.composite
+def small_admissible_cases(draw):
+    """Admissible parameters at N <= 16 (the exact tree has at most 2^16 leaves),
+    L in [2, 60] belief layers and a start belief in [0, 1]."""
+    mu1 = draw(st.floats(-0.3, 0.2))
+    params = ModelParams(
+        mu0=draw(st.floats(mu1 + 1e-3, 0.3)),
+        mu1=mu1,
+        sigma=draw(st.floats(0.05, 0.8)),
+        lam=draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0))),
+        r=draw(st.floats(0.0, 0.1)),
+        strike=100.0,
+        maturity=draw(st.floats(0.1, 10.0)),
+        spot=draw(st.floats(30.0, 300.0)),
+        y0=0.0,
+    )
+    n_steps = draw(st.integers(1, 16))
+    try:
+        regime_return_probs(params, build_lattice(params, n_steps))
+    except AdmissibilityError:
+        assume(False)
+    return params, n_steps, draw(st.integers(2, 60)), draw(st.floats(0.0, 1.0))
+
+
+# Rounding slack only: both inequalities hold exactly in exact arithmetic.
+ORACLE_SLACK = 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_admissible_cases())
+def test_grid_bounds_exact_from_above_and_sits_between_insider_values(case):
+    # The exact outsider value is convex in the belief (for a fixed stopping
+    # rule the payoff is linear in the prior), linear interpolation
+    # overestimates a convex function and the sweep is monotone, so the grid
+    # value is never below the exact one, at any N and L.
+    params, n_steps, n_belief, y0 = case
+    grid = price_partial(params, n_steps, n_belief, y0=y0).root
+    exact = price_partial_exact(params, n_steps, y0=y0)
+    assert grid >= exact - ORACLE_SLACK * exact
+    full = price_full(params, n_steps, keep_boundaries=False)
+    assert full.v1_root - ORACLE_SLACK * full.v1_root <= grid <= full.v0_root + ORACLE_SLACK * full.v0_root
