@@ -12,7 +12,6 @@ from .filtering import (
     build_grid,
     likelihood_ratio_quadrature,
     predict_return_prob,
-    simulate_continuous_filter,
     update_belief,
 )
 from .full_info import FullInfoResult, price_european_reference, price_full
@@ -23,7 +22,6 @@ from .lattice import (
     QMatrix,
     RegimeReturnProbs,
     build_lattice,
-    joint_full_info_transitions,
     regime_return_probs,
     transition_matrix,
 )
@@ -53,7 +51,6 @@ __all__ = [
     "build_grid",
     "build_lattice",
     "derived",
-    "joint_full_info_transitions",
     "likelihood_ratio_quadrature",
     "load_params",
     "predict_return_prob",
@@ -63,7 +60,6 @@ __all__ = [
     "price_partial_exact",
     "regime_return_probs",
     "replay_policies",
-    "simulate_continuous_filter",
     "simulate_joint_path",
     "solve_perpetual",
     "transition_matrix",

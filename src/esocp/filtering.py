@@ -4,11 +4,10 @@ Discrete side: the two-step filter on the binomial tree (predict the next
 return, then update the regime probability by Bayes' rule) plus the
 equidistant belief grid used by the partial-information pricer.
 
-Continuous side: an Euler integrator for the filtered-probability diffusion
-    dY = lam*(1 - Y) dt - eta*Y*(1 - Y) dW
-and a quadrature evaluation of the likelihood-ratio representation
+Continuous side: a quadrature evaluation of the likelihood-ratio
+representation
     Phi_t = exp(lam*t) * Lam_t * (phi0 + lam * int_0^t exp(-lam*s)/Lam_s ds),
-with Lam the stochastic exponential of -eta*W*.  These exist to cross-check
+with Lam the stochastic exponential of -eta*W*.  It exists to cross-check
 the discrete filter's continuous-time limit, not to price anything.
 """
 
@@ -125,26 +124,6 @@ def build_grid(n_points: int, q: QMatrix, p: RegimeReturnProbs) -> FilterGrid:
         dw_hi=dw_hi,
         w_dw=w_dw,
     )
-
-
-def simulate_continuous_filter(params: ModelParams, increments: np.ndarray, dt: float) -> np.ndarray:
-    """Euler-Maruyama path of the filtered-probability diffusion.
-
-    ``increments`` are Brownian increments over steps of length dt.  Each step
-    is clamped back into [0, 1]; the continuous dynamics stay inside, the
-    discretisation can overshoot.
-    """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    eta = params.derived.eta
-    path = np.empty(len(increments) + 1)
-    path[0] = params.y0
-    y = params.y0
-    for i, dw in enumerate(increments):
-        y = y + params.lam * (1.0 - y) * dt - eta * y * (1.0 - y) * dw
-        y = min(max(y, 0.0), 1.0)
-        path[i + 1] = y
-    return path
 
 
 @dataclass(frozen=True)

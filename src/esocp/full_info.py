@@ -85,13 +85,23 @@ def price_full(
     p = regime_return_probs(params, lattice, literal_exponent)
     disc = exp(-params.r * lattice.h)
 
-    def continuation(children: np.ndarray) -> np.ndarray:
-        v0, v1 = children
-        up1 = p.p_up1 * v1[1:] + p.p_dw1 * v1[:-1]
-        cont = np.empty((2, v0.size - 1))
-        cont[0] = disc * (q.q00 * (p.p_up0 * v0[1:] + p.p_dw0 * v0[:-1]) + q.q01 * up1)
-        cont[1] = disc * up1
-        return cont
+    up_probs = np.array([[p.p_up0], [p.p_up1]])
+    dw_probs = np.array([[p.p_dw0], [p.p_dw1]])
+    mix = np.array([[q.q00], [q.q01]])
+    work = np.empty((2, n_steps + 1))  # w <= N + 1; only the pages of the columns used are touched
+
+    def continuation(children: np.ndarray, out: np.ndarray) -> None:
+        # Both regime rows at once, the same operations as
+        #   up1 = p_up1 * v1[1:] + p_dw1 * v1[:-1]
+        #   out[0] = disc * (q00 * (p_up0 * v0[1:] + p_dw0 * v0[:-1]) + q01 * up1)
+        #   out[1] = disc * up1
+        tmp = work[:, : out.shape[1]]
+        np.multiply(up_probs, children[:, 1:], out=out)
+        np.multiply(dw_probs, children[:, :-1], out=tmp)
+        out += tmp
+        np.multiply(mix, out, out=tmp)
+        np.add(tmp[0], tmp[1], out=out[0])
+        out *= disc
 
     run = backward_sweep(
         lattice,

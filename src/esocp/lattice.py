@@ -13,7 +13,7 @@ from math import exp, sqrt
 
 import numpy as np
 
-from .model import ModelParams, Regime
+from .model import ModelParams
 
 
 class AdmissibilityError(ValueError):
@@ -40,10 +40,6 @@ class Lattice:
     up: float  # exp(sigma*sqrt(h))
     dw: float  # 1/up
     spot: float
-
-    def price(self, k: int, j: int) -> float:
-        """Stock price at step k after j up-moves, spot * up**(2j - k)."""
-        return self.spot * self.up ** (2 * j - k)
 
     def level_prices(self, k: int) -> np.ndarray:
         """All node prices at step k, ascending in j."""
@@ -146,19 +142,3 @@ def regime_return_probs(
         p_dw1=1.0 - probs[1],
         literal_exponent=literal_exponent,
     )
-
-
-def joint_full_info_transitions(
-    q: QMatrix, p: RegimeReturnProbs, from_regime: int | Regime
-) -> list[tuple[str, Regime, float]]:
-    """One-step law of (move, next regime) given the current regime.
-
-    Returns four (move, regime, probability) triples; probabilities sum to 1.
-    """
-    qi0, qi1 = q.row(int(from_regime))
-    return [
-        ("up", Regime.HIGH, p.p_up0 * qi0),
-        ("dw", Regime.HIGH, p.p_dw0 * qi0),
-        ("up", Regime.LOW, p.p_up1 * qi1),
-        ("dw", Regime.LOW, p.p_dw1 * qi1),
-    ]

@@ -99,7 +99,7 @@ def price_partial(
     if keep_slice_at is not None and not 0 <= keep_slice_at < n_steps:
         raise ValueError(f"keep_slice_at must lie in [0, {n_steps}), got {keep_slice_at}")
 
-    def continuation(children: np.ndarray) -> np.ndarray:
+    def continuation(children: np.ndarray, out: np.ndarray) -> None:
         # One row per belief layer, one column per stock node.  In place, the
         # same operations as disc * (pu * (Uup interpolated) + pd * (Udw interpolated)).
         up_next, dw_next = children[:, 1:], children[:, :-1]
@@ -116,8 +116,7 @@ def price_partial(
         dw += hi
         dw *= pd
         cont += dw
-        cont *= disc
-        return cont
+        np.multiply(cont, disc, out=out)
 
     run = backward_sweep(
         lattice,

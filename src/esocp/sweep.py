@@ -106,6 +106,14 @@ def _sure_exercise_index(
 def _exercised_from(values: np.ndarray, intrinsic: np.ndarray, chunk: int = 16) -> int:
     """Start of the top run of columns where values == intrinsic in every layer."""
     top = values.shape[1]
+    # Most steps keep their top column or drop only it: test those on their
+    # own.  Layer 0 (the high-drift regime, or belief 0) exercises last, so
+    # its entry alone tells a kept column.
+    for _ in range(min(top, 2)):
+        x = intrinsic[top - 1]
+        if values[0, top - 1] != x or (values[:, top - 1] != x).any():
+            return top
+        top -= 1
     while top > 0:
         start = max(top - chunk, 0)
         kept = np.flatnonzero(~np.all(values[:, start:top] == intrinsic[start:top], axis=0))
@@ -118,9 +126,11 @@ def _exercised_from(values: np.ndarray, intrinsic: np.ndarray, chunk: int = 16) 
 def _zeros_below(values: np.ndarray, chunk: int = 16) -> int:
     """Length of the bottom run of columns that are exactly 0 in every layer."""
     width = values.shape[1]
-    if width == 0 or values[:, 0].any():
-        return 0
-    for start in range(0, width, chunk):
+    # Most steps drop no column or one: test those on their own.
+    for col in range(min(width, 2)):
+        if np.count_nonzero(values[:, col]):
+            return col
+    for start in range(2, width, chunk):
         nonzero = np.flatnonzero(values[:, start : start + chunk].any(axis=0))
         if nonzero.size:
             return start + int(nonzero[0])
@@ -148,6 +158,11 @@ class _Sweep:
         self.continuation = continuation
         self.thresholds = thresholds
         self.keep = keep_slice_at
+        # The first exercise prices of a column range that has none, and the
+        # values of an empty window; shared by every step, so never written to.
+        self.no_exercise = np.full(self.n_layers, inf)
+        self.no_exercise.flags.writeable = False
+        self.no_values = np.empty((self.n_layers, 0))
 
     def widest(self) -> int:
         """Nodes in the widest window of any step but keep_slice_at: the window's
@@ -167,7 +182,7 @@ class _Sweep:
         n_layers = self.n_layers
         width = s1 - s0
         if not width:
-            return np.full(n_layers, inf)
+            return self.no_exercise
         base = self.n - k  # ladder index of node (k, 0)
         start, stop = new_lo + s0, new_lo + s1
         # Child values at step k+1 for nodes start..stop: zeros, window, intrinsic.
@@ -182,14 +197,14 @@ class _Sweep:
         updated = out[:, s0:s1]
         block = self.block
         for s in range(0, width, block):
-            cont[:, s : s + block] = self.continuation(children[:, s : s + block + 1])
+            self.continuation(children[:, s : s + block + 1], cont[:, s : s + block])
             np.maximum(intrinsic[s : s + block], cont[:, s : s + block], out=updated[:, s : s + block])
         # Columns from itm_col on are in the money; none below can exercise.
         itm_col = min(max((self.itm - base + 1) // 2 - start, 0), width)
         if self.thresholds is not None and itm_col < width:
             prices = self.ladder[base + 2 * (start + itm_col) : base + 2 * stop : 2]
             return self.thresholds(prices, self.strike, intrinsic[itm_col:], cont[:, itm_col:])
-        return np.full(n_layers, inf)
+        return self.no_exercise
 
     def run(self, half: int | None = None, link: _Link | None = None) -> SweepResult:
         """Sweep every step, over whole windows (half None) or over the low
@@ -209,7 +224,7 @@ class _Sweep:
 
         # Terminal step: nodes with index 2j < itm are dead, all others intrinsic.
         lo = hi = min((self.itm + 1) // 2, n + 1)
-        values = np.empty((n_layers, 0))
+        values = self.no_values
         for k in range(n - 1, -1, -1):
             base = n - k
             # Both children of the nodes below lo - 1 are exactly 0 in every layer.
@@ -237,9 +252,9 @@ class _Sweep:
                 values = out[:, dead:kept]
                 bottom, top = new_lo + dead, new_lo + kept
             else:
-                first = np.full(n_layers, inf)
+                first = self.no_exercise
                 bottom = top = new_lo
-                values = np.empty((n_layers, 0))
+                values = self.no_values
             if surface is not None:
                 # Nodes from new_hi up are exercised, so new_hi is the first one
                 # unless the window exercises earlier.
@@ -386,14 +401,15 @@ def backward_sweep(
     disc: float,
     p_up: np.ndarray,
     p_dw: np.ndarray,
-    continuation: Callable[[np.ndarray], np.ndarray],
+    continuation: Callable[[np.ndarray, np.ndarray], None],
     thresholds: Callable | None = None,
     keep_slice_at: int | None = None,
 ) -> SweepResult:
     """Backward induction over an N-step lattice with L value layers.
 
-    ``continuation`` maps the (L, w+1) child values of w adjacent nodes to
-    their (L, w) continuation values.  ``p_up``/``p_dw`` are the (L,) weights
+    ``continuation(children, out)`` writes the (L, w) continuation values of
+    w adjacent nodes into ``out``, a view of the sweep's own buffer, from the
+    (L, w+1) child values ``children``.  ``p_up``/``p_dw`` are the (L,) weights
     it puts on the up and down child when both hold the same value in every
     layer.  ``thresholds`` (``first_exercise_prices`` or None) extracts the
     first exercised price per layer and step.  Step ``keep_slice_at`` is

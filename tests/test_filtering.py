@@ -13,7 +13,6 @@ from esocp import (
     likelihood_ratio_quadrature,
     predict_return_prob,
     regime_return_probs,
-    simulate_continuous_filter,
     transition_matrix,
     update_belief,
 )
@@ -161,27 +160,6 @@ def test_grid_size_validation(chain):
     q, p = chain
     with pytest.raises(ValueError):
         build_grid(1, q, p)
-
-
-def test_continuous_filter_absorbing_start():
-    # drift and diffusion both vanish at y = 1 (engine level; validate() would
-    # reject y0 = 1 as a prior, the diffusion itself is well defined there)
-    path = simulate_continuous_filter(replace(BASE, y0=1.0), np.full(100, 0.01), 0.01)
-    assert np.all(path == 1.0)
-
-
-def test_continuous_filter_frozen_at_zero_without_intensity():
-    p = replace(BASE, lam=0.0, y0=0.0)
-    path = simulate_continuous_filter(p, np.full(100, 0.02), 0.01)
-    assert np.all(path == 0.0)
-
-
-def test_continuous_filter_zero_noise_ode():
-    dt = 1e-3
-    n = 2000
-    path = simulate_continuous_filter(BASE, np.zeros(n), dt)
-    t = dt * np.arange(n + 1)
-    assert np.max(np.abs(path - (1.0 - np.exp(-BASE.lam * t)))) < 1e-4
 
 
 def test_quadrature_without_intensity_is_pure_exponential():

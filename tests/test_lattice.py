@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from esocp import (
     AdmissibilityError,
     build_lattice,
-    joint_full_info_transitions,
     regime_return_probs,
     transition_matrix,
 )
@@ -28,9 +27,10 @@ def test_crr_geometry_production_size():
 def test_node_prices_recombine():
     lat = build_lattice(BASE, 50)
     for k, j in [(0, 0), (10, 3), (50, 50), (37, 0)]:
-        assert lat.price(k, j) * lat.up * lat.dw == pytest.approx(lat.price(k, j), rel=1e-12)
+        price = lat.level_prices(k)[j]
+        assert price * lat.up * lat.dw == pytest.approx(price, rel=1e-12)
     # an up-down round trip comes back to the same price
-    assert lat.price(12, 6) == pytest.approx(lat.price(10, 5), rel=1e-12)
+    assert lat.level_prices(12)[6] == pytest.approx(lat.level_prices(10)[5], rel=1e-12)
 
 
 def test_level_prices_increasing():
@@ -117,32 +117,13 @@ def test_inadmissible_drift_rejected_with_max_h():
 
 def test_joint_transitions_absorption_and_no_switch():
     lat = build_lattice(BASE, 2500)
-    q = transition_matrix(BASE.lam, lat.h)
     p = regime_return_probs(BASE, lat)
-    from_switched = joint_full_info_transitions(q, p, 1)
-    assert all(prob == 0.0 for _, regime, prob in from_switched if regime == 0)
-
-    q0 = transition_matrix(0.0, lat.h)
-    from_fresh = joint_full_info_transitions(q0, p, 0)
-    assert all(prob == 0.0 for _, regime, prob in from_fresh if regime == 1)
-    mass = {(m, int(rg)): pr for m, rg, pr in from_fresh}
-    assert mass[("up", 0)] == p.p_up0 and mass[("dw", 0)] == p.p_dw0
-
-
-def test_joint_transitions_values():
-    lat = build_lattice(BASE, 2500)
-    q = transition_matrix(BASE.lam, lat.h)
-    p = regime_return_probs(BASE, lat)
-    triples = joint_full_info_transitions(q, p, 0)
-    expected = {
-        ("up", 0): p.p_up0 * q.q00,
-        ("dw", 0): p.p_dw0 * q.q00,
-        ("up", 1): p.p_up1 * q.q01,
-        ("dw", 1): p.p_dw1 * q.q01,
-    }
-    for move, regime, prob in triples:
-        assert prob == pytest.approx(expected[(move, int(regime))], rel=1e-15)
-    assert sum(pr for _, _, pr in triples) == pytest.approx(1.0, abs=1e-14)
+    # from the switched regime every move keeps regime 1
+    assert transition_matrix(BASE.lam, lat.h).row(1) == (0.0, 1.0)
+    # without switching a fresh regime moves by its own law and stays
+    qi0, qi1 = transition_matrix(0.0, lat.h).row(0)
+    assert qi1 == 0.0
+    assert (p.p_up0 * qi0, p.p_dw0 * qi0) == (p.p_up0, p.p_dw0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -163,6 +144,8 @@ def test_joint_transition_mass_sums_to_one(lam, h, mu0, gap, sigma, regime):
         probs = regime_return_probs(p, lat)
     except AdmissibilityError:
         return
-    triples = joint_full_info_transitions(q, probs, regime)
-    assert all(pr >= 0.0 for _, _, pr in triples)
-    assert sum(pr for _, _, pr in triples) == pytest.approx(1.0, abs=1e-14)
+    # the one-step law of (move, next regime): next regime j from the row, then its move
+    qi0, qi1 = q.row(regime)
+    mass = (probs.p_up0 * qi0, probs.p_dw0 * qi0, probs.p_up1 * qi1, probs.p_dw1 * qi1)
+    assert all(pr >= 0.0 for pr in mass)
+    assert sum(mass) == pytest.approx(1.0, abs=1e-14)

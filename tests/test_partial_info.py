@@ -217,7 +217,7 @@ def small_admissible_cases(draw):
     return params, n_steps, draw(st.integers(2, 60)), draw(st.floats(0.0, 1.0))
 
 
-# Rounding slack only: both inequalities hold exactly in exact arithmetic.
+# Rounding slack only: every inequality below holds exactly in exact arithmetic.
 ORACLE_SLACK = 1e-12
 
 
@@ -227,9 +227,13 @@ def test_grid_bounds_exact_from_above_and_sits_between_insider_values(case):
     # The exact outsider value is convex in the belief (for a fixed stopping
     # rule the payoff is linear in the prior), linear interpolation
     # overestimates a convex function and the sweep is monotone, so the grid
-    # value is never below the exact one, at any N and L.
+    # value is never below the exact one, at any N and L.  The grid values
+    # themselves are convex in the belief: on the equidistant grid their
+    # second differences are not negative.
     params, n_steps, n_belief, y0 = case
-    grid = price_partial(params, n_steps, n_belief, y0=y0).root
+    partial = price_partial(params, n_steps, n_belief, y0=y0)
+    layers, grid = partial.root_layers, partial.root
+    assert np.all(np.diff(layers, 2) >= -ORACLE_SLACK * np.max(np.abs(layers)))
     exact = price_partial_exact(params, n_steps, y0=y0)
     assert grid >= exact - ORACLE_SLACK * exact
     full = price_full(params, n_steps, keep_boundaries=False)

@@ -54,6 +54,59 @@ def test_full_window_matches_full_width(case, n_steps):
     assert np.array_equal(got.boundary1, want["boundary1"])
 
 
+# The 100-year insider at N=4000 drops its top column at 1,970 of its steps
+# and an underflowed zero column at the bottom at 294.
+LONG_HORIZON = replace(BASE, maturity=100.0)
+LONG_HORIZON_N = 4000
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["one process", "split"])
+def test_long_horizon_insider_matches_full_width(split, request):
+    splits = request.getfixturevalue("forced_split") if split else []
+    want = full_width_price_full(LONG_HORIZON, LONG_HORIZON_N)
+    got = price_full(LONG_HORIZON, LONG_HORIZON_N)
+    assert (got.v0_root, got.v1_root) == (want["v0_root"], want["v1_root"])
+    assert np.array_equal(got.boundary0, want["boundary0"])
+    assert np.array_equal(got.boundary1, want["boundary1"])
+    assert splits == ([LONG_HORIZON_N] if split else [])
+
+
+def scan_exercised_from(values, intrinsic):
+    top = values.shape[1]
+    while top > 0 and np.all(values[:, top - 1] == intrinsic[top - 1]):
+        top -= 1
+    return top
+
+
+def scan_zeros_below(values):
+    dead = 0
+    while dead < values.shape[1] and not np.any(values[:, dead]):
+        dead += 1
+    return dead
+
+
+def test_trims_match_a_column_scan():
+    rng = np.random.default_rng(7)
+    for _ in range(3000):
+        n_layers = int(rng.choice([1, 2, 3, 21]))
+        width = int(rng.choice([0, 1, 2, 3, 15, 16, 17, 18, 40]))
+        intrinsic = rng.choice([0.0, 1.5, 2.0], size=width)
+        # each entry 0, intrinsic or something else; runs longer than a chunk at either end
+        kinds = rng.integers(0, 3, size=(n_layers, width))
+        if rng.random() < 0.3:
+            kinds[:, width - int(rng.integers(0, width + 1)) :] = 1
+        if rng.random() < 0.3:
+            kinds[:, : int(rng.integers(0, width + 1))] = 0
+        values = np.where(kinds == 0, 0.0, np.where(kinds == 1, intrinsic, rng.choice([-1.0, np.nan, 7.0])))
+        assert sweep._exercised_from(values, intrinsic) == scan_exercised_from(values, intrinsic)
+        assert sweep._zeros_below(values) == scan_zeros_below(values)
+    for width in (0, 1, 2, 17, 40):
+        intrinsic = np.linspace(1.0, 2.0, width)
+        exercised = np.broadcast_to(intrinsic, (2, width))
+        assert sweep._exercised_from(exercised, intrinsic) == 0
+        assert sweep._zeros_below(np.zeros((2, width))) == width
+
+
 def test_node_steps_below_full_triangle():
     n, n_belief = 400, 51
     partial = price_partial(BASE, n, n_belief)
