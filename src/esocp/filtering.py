@@ -20,8 +20,8 @@ import numpy as np
 from .lattice import QMatrix, RegimeReturnProbs
 from .model import ModelParams
 
-# A posterior that lands within this fraction of a grid cell of a grid point
-# is snapped to it (bracket collapses, weight 0).
+# A belief that lands within this fraction of a grid cell of a grid point is
+# snapped to it (bracket collapses, weight 0) when the grid is read.
 _EXACT_HIT_TOL = 1e-9
 
 
@@ -94,10 +94,12 @@ class FilterGrid:
         return layer_values[lo] * (1.0 - w) + layer_values[hi] * w
 
 
-def _bracket(y: np.ndarray, n_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _bracket(
+    y: np.ndarray, n_points: int, tol: float = _EXACT_HIT_TOL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pos = y * (n_points - 1)
     nearest = np.rint(pos)
-    exact = np.abs(pos - nearest) <= _EXACT_HIT_TOL
+    exact = np.abs(pos - nearest) <= tol
     lo = np.where(exact, nearest, np.floor(pos))
     lo = np.clip(lo, 0, n_points - 1).astype(np.int64)
     hi = np.where(exact, lo, np.minimum(lo + 1, n_points - 1))
@@ -111,8 +113,12 @@ def build_grid(n_points: int, q: QMatrix, p: RegimeReturnProbs) -> FilterGrid:
     points = np.linspace(0.0, 1.0, n_points)
     y_up = np.asarray(update_belief(points, "up", q, p))
     y_dw = np.asarray(update_belief(points, "dw", q, p))
-    up_lo, up_hi, w_up = _bracket(y_up, n_points)
-    dw_lo, dw_hi, w_dw = _bracket(y_dw, n_points)
+    # The posterior targets collapse only on an exact hit (y = 1 always, y = 0
+    # without switching).  Snapping a posterior that is merely close, such as
+    # 1.4e-10 at a switching intensity of 1e-9, would drop the switch and
+    # could lift the grid value above the insider's.
+    up_lo, up_hi, w_up = _bracket(y_up, n_points, tol=0.0)
+    dw_lo, dw_hi, w_dw = _bracket(y_dw, n_points, tol=0.0)
     return FilterGrid(
         points=points,
         y_up=y_up,

@@ -34,15 +34,18 @@ def first_exercise_prices(
 ) -> np.ndarray | float:
     """Smallest in-the-money node price where intrinsic >= continuation.
 
-    ``continuation`` may be (n_nodes,) for a single slice or (m, n_nodes) for
-    m independent slices; returns a float or an (m,) array, +inf where no node
-    exercises.
+    ``prices`` ascend over n_nodes >= 1 nodes.  ``continuation`` may be
+    (n_nodes,) for a single slice or (m, n_nodes) for m independent slices;
+    returns a float or an (m,) array, +inf where no node exercises.
     """
-    exercised = (prices > strike) & (intrinsic >= continuation - EXERCISE_TIE_TOL * np.maximum(1.0, intrinsic))
+    exercised = intrinsic >= continuation - EXERCISE_TIE_TOL * np.maximum(1.0, intrinsic)
+    if prices[0] <= strike:  # the sweep passes in-the-money nodes only
+        exercised &= prices > strike
     if continuation.ndim == 1:
-        return float(prices[np.argmax(exercised)]) if exercised.any() else inf
-    first = np.argmax(exercised, axis=1)
-    return np.where(exercised.any(axis=1), prices[first], inf)
+        first = int(np.argmax(exercised))
+        return float(prices[first]) if exercised[first] else inf
+    first = np.argmax(exercised, axis=1)  # 0 in a row with no exercised node
+    return np.where((first > 0) | exercised[:, 0], prices[first], inf)
 
 
 @dataclass(frozen=True)
@@ -88,19 +91,25 @@ def price_full(
     up_probs = np.array([[p.p_up0], [p.p_up1]])
     dw_probs = np.array([[p.p_dw0], [p.p_dw1]])
     mix = np.array([[q.q00], [q.q01]])
-    work = np.empty((2, n_steps + 1))  # w <= N + 1; only the pages of the columns used are touched
+    work = np.empty((4, n_steps + 1))  # w <= N + 1; only the pages of the columns used are touched
 
-    def continuation(children: np.ndarray, out: np.ndarray) -> None:
-        # Both regime rows at once, the same operations as
+    def continuation(children: np.ndarray, out: np.ndarray, layers: tuple[int, int]) -> None:
+        # The regime rows of ``layers``, the same operations as
         #   up1 = p_up1 * v1[1:] + p_dw1 * v1[:-1]
-        #   out[0] = disc * (q00 * (p_up0 * v0[1:] + p_dw0 * v0[:-1]) + q01 * up1)
-        #   out[1] = disc * up1
-        tmp = work[:, : out.shape[1]]
-        np.multiply(up_probs, children[:, 1:], out=out)
+        #   cont0 = disc * (q00 * (p_up0 * v0[1:] + p_dw0 * v0[:-1]) + q01 * up1)
+        #   cont1 = disc * up1
+        # Both sums at once on stacked (2, w) arrays, also when only one
+        # regime row is asked for.
+        w = out.shape[1]
+        tmp, sums = work[:2, :w], out if layers == (0, 2) else work[2:, :w]
+        np.multiply(up_probs, children[:, 1:], out=sums)
         np.multiply(dw_probs, children[:, :-1], out=tmp)
-        out += tmp
-        np.multiply(mix, out, out=tmp)
-        np.add(tmp[0], tmp[1], out=out[0])
+        sums += tmp
+        if layers[0] == 0:
+            np.multiply(mix, sums, out=tmp)
+            np.add(tmp[0], tmp[1], out=out[0])
+        else:
+            out[0] = sums[1]
         out *= disc
 
     run = backward_sweep(

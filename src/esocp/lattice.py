@@ -64,9 +64,6 @@ class QMatrix:
     q10: float
     q11: float
 
-    def row(self, i: int) -> tuple[float, float]:
-        return (self.q00, self.q01) if i == 0 else (self.q10, self.q11)
-
 
 @dataclass(frozen=True)
 class RegimeReturnProbs:
@@ -77,9 +74,6 @@ class RegimeReturnProbs:
     p_up1: float
     p_dw1: float
     literal_exponent: bool = False  # True: growth exponent mu*sqrt(h) instead of mu*h
-
-    def up_prob(self, regime: int) -> float:
-        return self.p_up0 if regime == 0 else self.p_up1
 
 
 def build_lattice(params: ModelParams, n_steps: int) -> Lattice:

@@ -33,6 +33,11 @@ from .sweep import backward_sweep
 # Exact enumeration doubles its state space every step.
 MAX_EXACT_STEPS = 22
 
+# The continuation works on blocks of whole layer rows, as many as fit in
+# about this many (layer, node) entries, so one block's temporaries stay in a
+# core's L2 cache.
+ROW_BLOCK_ELEMENTS = 32768
+
 
 @dataclass(frozen=True)
 class PartialInfoResult:
@@ -99,24 +104,29 @@ def price_partial(
     if keep_slice_at is not None and not 0 <= keep_slice_at < n_steps:
         raise ValueError(f"keep_slice_at must lie in [0, {n_steps}), got {keep_slice_at}")
 
-    def continuation(children: np.ndarray, out: np.ndarray) -> None:
-        # One row per belief layer, one column per stock node.  In place, the
-        # same operations as disc * (pu * (Uup interpolated) + pd * (Udw interpolated)).
+    def continuation(children: np.ndarray, out: np.ndarray, layers: tuple[int, int]) -> None:
+        # One row per belief layer, one column per stock node, in blocks of
+        # whole rows.  In place, the same operations as
+        # disc * (pu * (Uup interpolated) + pd * (Udw interpolated)).
         up_next, dw_next = children[:, 1:], children[:, :-1]
-        cont = up_next[grid.up_lo]
-        cont *= wu_lo
-        hi = up_next[grid.up_hi]
-        hi *= wu
-        cont += hi
-        cont *= pu
-        dw = dw_next[grid.dw_lo]
-        dw *= wd_lo
-        hi = dw_next[grid.dw_hi]
-        hi *= wd
-        dw += hi
-        dw *= pd
-        cont += dw
-        np.multiply(cont, disc, out=out)
+        r0, r1 = layers
+        step = max(ROW_BLOCK_ELEMENTS // out.shape[1], 1)
+        for b0 in range(r0, r1, step):
+            b = slice(b0, min(b0 + step, r1))
+            cont = up_next[grid.up_lo[b]]
+            cont *= wu_lo[b]
+            hi = up_next[grid.up_hi[b]]
+            hi *= wu[b]
+            cont += hi
+            cont *= pu[b]
+            dw = dw_next[grid.dw_lo[b]]
+            dw *= wd_lo[b]
+            hi = dw_next[grid.dw_hi[b]]
+            hi *= wd[b]
+            dw += hi
+            dw *= pd[b]
+            cont += dw
+            np.multiply(cont, disc, out=out[b0 - r0 : b.stop - r0])
 
     run = backward_sweep(
         lattice,
@@ -125,6 +135,7 @@ def price_partial(
         p_up,
         p_dw,
         continuation,
+        child_rows=(np.minimum(grid.up_lo, grid.dw_lo), np.maximum(grid.up_hi, grid.dw_hi) + 1),
         thresholds=first_exercise_prices if keep_surface else None,
         keep_slice_at=keep_slice_at,
     )

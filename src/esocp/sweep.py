@@ -27,17 +27,24 @@ exercise thresholds are bit-identical to sweeping every node.
 Each step's window values, child values and continuations are compact views
 into buffers the sweep allocates once and reuses: arrays allocated and freed
 every step made the allocator hand pages back to the system and fault them
-in again.
+in again.  Node prices and payoffs are kept as two parity ladders, one for
+the even and one for the odd ladder indices, so a step's intrinsic values
+and its children's intrinsic edge are contiguous slices.
 
+A step updates a range of layers over the whole window in one call: the
+pricer's continuation works through those rows in blocks of whole rows.
 Where a window can hold many (layer, node) entries, two processes share each
-step: the caller sweeps the low half of the window and a helper forked for
-the sweep the high half, both writing one window in shared memory.  The
-columns of a step are independent, so the split changes no bit either.
+step: the caller sweeps layers [0, L//2) and a helper forked for the sweep
+layers [L//2, L), both writing one window in shared memory and each copying
+only the child rows its layers read.  Each extracts the thresholds of its
+own layers, so the step's threshold row is the disjoint union of the two.
+The layers of a step are independent, so the split changes no bit either.
 """
 
 from __future__ import annotations
 
 import os
+import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from math import inf
@@ -53,10 +60,6 @@ from .lattice import Lattice
 # of up*S, so a margin of 1e-9 leaves the float comparison no room to flip.
 SURE_EXERCISE_MARGIN = 1e-9
 
-# Continuations are computed over column blocks of about this many (layer,
-# node) entries, so the temporaries of one block stay in a core's L2 cache.
-BLOCK_ELEMENTS = 32768
-
 # A sweep is split across two processes when L times its widest possible
 # window exceeds this many entries (and _workers.can_fork() allows it).  On a
 # 2-core KVM guest the split ran 1.08x as fast as one process at 27,000
@@ -65,11 +68,14 @@ BLOCK_ELEMENTS = 32768
 SPLIT_MIN_ENTRIES = 50_000
 
 # A process waiting for the other one's half of a step polls its semaphore
-# this many times (about 25 ms) before it blocks: waking a blocked process
-# took milliseconds on that guest, and with 2,000 tries the production split
-# was no faster than one process.  A blocked wait checks every POLL_S seconds
+# for up to SPIN_S seconds before it blocks: waking a blocked process took
+# milliseconds on that guest, and with a 0.26 ms spin the production split
+# was no faster than one process.  Between tries it yields its CPU, which the
+# other half may be waiting for: with both processes on one CPU a spin that
+# kept the CPU stalled every step for a scheduler slice (10.2-11.4 s against
+# 2.9-3.4 s for N=2500, L=250).  A blocked wait checks every POLL_S seconds
 # that the other process is still alive.
-SPIN_TRIES = 200_000
+SPIN_S = 0.025
 POLL_S = 0.05
 
 
@@ -142,24 +148,35 @@ def _compact(buffer: np.ndarray, start: int, rows: int, cols: int) -> np.ndarray
     return buffer[start : start + rows * cols].reshape(rows, cols)
 
 
-class _Sweep:
-    """One backward induction: the lattice's geometry and the update of a column range."""
+def _rung(ladders: tuple[np.ndarray, np.ndarray], index: int, count: int) -> np.ndarray:
+    """Ladder entries index, index + 2, ... (count of them): a contiguous slice
+    of the parity ladder that holds them."""
+    start = index // 2
+    return ladders[index % 2][start : start + count]
 
-    def __init__(self, lattice, strike, disc, p_up, p_dw, continuation, thresholds, keep_slice_at):
+
+class _Sweep:
+    """One backward induction: the lattice's geometry and the update of a layer range."""
+
+    def __init__(
+        self, lattice, strike, disc, p_up, p_dw, continuation, child_rows, thresholds, keep_slice_at
+    ):
         self.n = lattice.n_steps
         self.n_layers = p_up.size
-        self.block = max(BLOCK_ELEMENTS // self.n_layers, 16)
-        self.ladder = lattice.price_ladder()  # node (k, j) sits at index n - k + 2j
-        self.payoff = np.maximum(self.ladder - strike, 0.0)
-        above = self.ladder > strike
-        self.itm = int(np.argmax(above)) if above.any() else self.ladder.size  # prices below index itm are <= K
-        self.cut = _sure_exercise_index(lattice, self.ladder, strike, disc, p_up, p_dw, self.itm)
+        ladder = lattice.price_ladder()  # node (k, j) sits at index n - k + 2j
+        above = ladder > strike
+        self.itm = int(np.argmax(above)) if above.any() else ladder.size  # prices below index itm are <= K
+        self.cut = _sure_exercise_index(lattice, ladder, strike, disc, p_up, p_dw, self.itm)
+        self.prices = ladder[0::2].copy(), ladder[1::2].copy()  # the parity ladders
+        del ladder, above  # the payoffs are built without them: less memory at once at large N
+        self.payoff = tuple(np.maximum(prices - strike, 0.0) for prices in self.prices)
         self.strike = strike
         self.continuation = continuation
+        self.child_rows = child_rows
         self.thresholds = thresholds
         self.keep = keep_slice_at
-        # The first exercise prices of a column range that has none, and the
-        # values of an empty window; shared by every step, so never written to.
+        # The first exercise prices of layers that have none, and the values of
+        # an empty window; shared by every step, so never written to.
         self.no_exercise = np.full(self.n_layers, inf)
         self.no_exercise.flags.writeable = False
         self.no_values = np.empty((self.n_layers, 0))
@@ -170,48 +187,57 @@ class _Sweep:
         raises it."""
         return min(self.n + 1, max(self.itm + 1, self.cut) // 2)
 
-    def columns(self, k, new_lo, lo, hi, values, s0, s1, out, cont, scratch) -> np.ndarray:
-        """Sweep columns [s0, s1) of step k's window, which starts at node new_lo.
+    def reads(self, r0: int, r1: int) -> tuple[int, int]:
+        """The span [c0, c1) of child rows that layers [r0, r1) read."""
+        if self.child_rows is None:
+            return 0, self.n_layers
+        first, end = self.child_rows
+        return int(first[r0:r1].min()), int(end[r0:r1].max())
 
-        Child values come from ``values``, the window [lo, hi) of step k + 1.
-        New values go to out[:, s0:s1], continuations to cont[:, s0:s1] (to
-        ``scratch`` if cont is None; scratch also holds the child values).
-        Returns the first exercised price per layer among these columns (+inf
-        where none, or without ``thresholds``).
+    def update(self, k, new_lo, lo, hi, values, layers, rows, intrinsic, out, cont, scratch) -> np.ndarray:
+        """Sweep layers [r0, r1) = ``layers`` of step k's window out, which
+        starts at node new_lo and whose nodes pay ``intrinsic``.
+
+        Child values come from ``values``, the window [lo, hi) of step k + 1;
+        only its child rows [c0, c1) = ``rows`` are read.  New values go to
+        out[r0:r1], continuations to cont[r0:r1] (to ``scratch`` if cont is
+        None; scratch also holds the child values).  Returns the first
+        exercised price of each of these layers (+inf where none, or without
+        ``thresholds``).
         """
-        n_layers = self.n_layers
-        width = s1 - s0
-        if not width:
-            return self.no_exercise
+        r0, r1 = layers
+        width = out.shape[1]
         base = self.n - k  # ladder index of node (k, 0)
-        start, stop = new_lo + s0, new_lo + s1
-        # Child values at step k+1 for nodes start..stop: zeros, window, intrinsic.
-        children = _compact(scratch, 0, n_layers, width + 1)
-        a = min(max(lo - start, 0), width + 1)
-        b = min(max(hi - start, a), width + 1)
-        children[:, :a] = 0.0
-        children[:, a:b] = values[:, start + a - lo : start + b - lo]
-        children[:, b:] = self.payoff[base - 1 + 2 * (start + b) : base + 2 * stop : 2]
-        intrinsic = self.payoff[base + 2 * start : base + 2 * stop : 2]
-        cont = _compact(scratch, n_layers * (self.n + 2), n_layers, width) if cont is None else cont[:, s0:s1]
-        updated = out[:, s0:s1]
-        block = self.block
-        for s in range(0, width, block):
-            self.continuation(children[:, s : s + block + 1], cont[:, s : s + block])
-            np.maximum(intrinsic[s : s + block], cont[:, s : s + block], out=updated[:, s : s + block])
+        # Child values at step k+1 for nodes new_lo..new_hi: zeros, window, intrinsic.
+        c0, c1 = rows
+        children = _compact(scratch, 0, self.n_layers, width + 1)
+        a = min(max(lo - new_lo, 0), width + 1)
+        b = min(max(hi - new_lo, a), width + 1)
+        children[c0:c1, :a] = 0.0
+        children[c0:c1, a:b] = values[c0:c1, new_lo + a - lo : new_lo + b - lo]
+        children[c0:c1, b:] = _rung(self.payoff, base - 1 + 2 * (new_lo + b), width + 1 - b)
+        if cont is None:
+            cont = _compact(scratch, self.n_layers * (self.n + 2), r1 - r0, width)
+        else:
+            cont = cont[r0:r1]
+        self.continuation(children, cont, layers)
+        np.maximum(intrinsic, cont, out=out[r0:r1])
         # Columns from itm_col on are in the money; none below can exercise.
-        itm_col = min(max((self.itm - base + 1) // 2 - start, 0), width)
+        itm_col = min(max((self.itm - base + 1) // 2 - new_lo, 0), width)
         if self.thresholds is not None and itm_col < width:
-            prices = self.ladder[base + 2 * (start + itm_col) : base + 2 * stop : 2]
+            prices = _rung(self.prices, base + 2 * (new_lo + itm_col), width - itm_col)
             return self.thresholds(prices, self.strike, intrinsic[itm_col:], cont[:, itm_col:])
-        return self.no_exercise
+        return self.no_exercise[r0:r1]
 
     def run(self, half: int | None = None, link: _Link | None = None) -> SweepResult:
-        """Sweep every step, over whole windows (half None) or over the low
-        (half 0) or high (half 1) half of each, meeting the other half's
-        process through ``link`` once per step.  Thresholds and the retained
-        slice are only collected where half is not 1."""
-        n, n_layers, ladder, payoff = self.n, self.n_layers, self.ladder, self.payoff
+        """Sweep every step, over all layers (half None) or over the low (half
+        0) or high (half 1) half of the layers, meeting the other half's process
+        through ``link`` once per step.  Thresholds and the retained slice are
+        only returned where half is not 1."""
+        n, n_layers = self.n, self.n_layers
+        split = n_layers // 2
+        layers = (0, n_layers) if half is None else (0, split) if half == 0 else (split, n_layers)
+        rows = self.reads(*layers)
         surface = None
         if self.thresholds is not None and half != 1:
             surface = np.full((n + 1, n_layers), inf)
@@ -240,14 +266,14 @@ class _Sweep:
                 cont = None
                 if retained:
                     cont = np.empty((n_layers, width)) if link is None else link.continuation(width)
-                s0, s1 = (0, width) if half is None else (0, width // 2) if half == 0 else (width // 2, width)
-                first = self.columns(k, new_lo, lo, hi, values, s0, s1, out, cont, scratch)
+                intrinsic = _rung(self.payoff, base + 2 * new_lo, width)
+                first = self.update(k, new_lo, lo, hi, values, layers, rows, intrinsic, out, cont, scratch)
                 if link is not None:
                     first = link.exchange(k, half, first)
                 node_steps += n_layers * width
                 if retained and half != 1:
                     slice_values, slice_continuation = out.copy(), cont if link is None else cont.copy()
-                kept = _exercised_from(out, payoff[base + 2 * new_lo : base + 2 * new_hi : 2])
+                kept = _exercised_from(out, intrinsic)
                 dead = _zeros_below(out[:, :kept])
                 values = out[:, dead:kept]
                 bottom, top = new_lo + dead, new_lo + kept
@@ -258,13 +284,15 @@ class _Sweep:
             if surface is not None:
                 # Nodes from new_hi up are exercised, so new_hi is the first one
                 # unless the window exercises earlier.
-                surface[k] = first if new_hi > k else np.where(np.isinf(first), ladder[base + 2 * new_hi], first)
+                surface[k] = first
+                if new_hi <= k:
+                    surface[k, np.isinf(first)] = _rung(self.prices, base + 2 * new_hi, 1)
             lo, hi = bottom, top
 
         if lo > 0:
             root = np.zeros(n_layers)
         elif hi == 0:
-            root = np.full(n_layers, payoff[n])
+            root = np.full(n_layers, self.payoff[n % 2][n // 2])
         else:
             root = values[:, 0].copy()
         return SweepResult(
@@ -280,12 +308,13 @@ class _Link:
     """What the two processes of a split sweep share.
 
     One anonymous shared mapping holds two windows of values (step k writes
-    window k % 2, reading step k + 1's from the other), two rows of the
-    helper's first exercise prices (also by parity), the continuation of the
-    retained step and a failure flag.  Each window is stored compactly from
-    the start of its area, so only L times the widest window is ever touched.
-    Two semaphores say that the low (0) or high (1) half of a step is done;
-    they also order the memory writes of the two processes.
+    window k % 2, reading step k + 1's from the other), two rows of first
+    exercise prices (also by parity; the helper fills its layers' entries,
+    the parent its own), the continuation of the retained step and a failure
+    flag.  Each window is stored compactly from the start of its area, so
+    only L times the widest window is ever touched.  Two semaphores say that
+    the low (0) or high (1) half of the layers of a step is done; they also
+    order the memory writes of the two processes.
     """
 
     def __init__(self, n_layers: int, capacity: int, keep_width: int):
@@ -309,24 +338,28 @@ class _Link:
 
     def exchange(self, k: int, half: int, first: np.ndarray) -> np.ndarray:
         """Wait until both halves of step k are swept.  The parent gets the
-        step's first exercise prices: the low half's where finite, else the
-        high half's."""
+        step's first exercise prices of every layer: its own layers' next to
+        the helper's, which the helper left in row k % 2."""
+        row = self.rows[k % 2]
         if half == 1:
-            self.rows[k % 2] = first
+            row[self.n_layers // 2 :] = first
         self.done[half].release()
         self._wait(half)
         if half == 1:
             return first
         self._raise_if_failed()
-        return np.where(np.isfinite(first), first, self.rows[k % 2])
+        row[: self.n_layers // 2] = first
+        return row
 
     def _wait(self, half: int) -> None:
         """Take the other process's post: poll, then block, checking every
         POLL_S seconds that the other process is still there."""
         semaphore = self.done[1 - half]
-        for _ in range(SPIN_TRIES):
+        deadline = time.perf_counter() + SPIN_S
+        while time.perf_counter() < deadline:
             if semaphore.acquire(False):
                 return
+            os.sched_yield()
         while not semaphore.acquire(timeout=POLL_S):
             if half == 1 and os.getppid() != self.parent:
                 raise ChildProcessError("the process that forked this sweep helper is gone")
@@ -371,7 +404,7 @@ class _Link:
 
 
 def _split(sweep: _Sweep) -> SweepResult:
-    """Run the sweep over the low halves here and the high halves in a forked helper."""
+    """Sweep the low half of the layers here and the high half in a forked helper."""
     keep_width = 0 if sweep.keep is None else sweep.keep + 1
     link = _Link(sweep.n_layers, sweep.n + 1, keep_width)
     pid = os.fork()
@@ -401,23 +434,28 @@ def backward_sweep(
     disc: float,
     p_up: np.ndarray,
     p_dw: np.ndarray,
-    continuation: Callable[[np.ndarray, np.ndarray], None],
+    continuation: Callable[[np.ndarray, np.ndarray, tuple[int, int]], None],
+    child_rows: tuple[np.ndarray, np.ndarray] | None = None,
     thresholds: Callable | None = None,
     keep_slice_at: int | None = None,
 ) -> SweepResult:
     """Backward induction over an N-step lattice with L value layers.
 
-    ``continuation(children, out)`` writes the (L, w) continuation values of
-    w adjacent nodes into ``out``, a view of the sweep's own buffer, from the
-    (L, w+1) child values ``children``.  ``p_up``/``p_dw`` are the (L,) weights
-    it puts on the up and down child when both hold the same value in every
-    layer.  ``thresholds`` (``first_exercise_prices`` or None) extracts the
+    ``continuation(children, out, (r0, r1))`` writes the (r1 - r0, w)
+    continuation values of layers [r0, r1) at the w nodes of a step's window
+    into ``out``, a view of the sweep's own buffer, from the (L, w+1) child
+    values ``children``.  Only the child rows [c0, c1) that those layers
+    read are filled in: with ``child_rows`` = (first, end), c0 is the least
+    first[l] and c1 the largest end[l] over the layers (every row if None).
+    ``p_up``/``p_dw`` are the (L,) weights the continuation puts on the up and
+    down child when both hold the same value in every layer.
+    ``thresholds`` (``first_exercise_prices`` or None) extracts the
     first exercised price per layer and step.  Step ``keep_slice_at`` is
     swept over every node; its values and continuations are returned.
     Sweeps with more than SPLIT_MIN_ENTRIES entries in their widest window
     are shared with a forked helper process where ``_workers.can_fork()``.
     """
-    sweep = _Sweep(lattice, strike, disc, p_up, p_dw, continuation, thresholds, keep_slice_at)
+    sweep = _Sweep(lattice, strike, disc, p_up, p_dw, continuation, child_rows, thresholds, keep_slice_at)
     if sweep.n_layers * sweep.widest() > SPLIT_MIN_ENTRIES and _workers.can_fork():
         return _split(sweep)
     return sweep.run()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from esocp import build_lattice, price_european_reference, price_full
+from esocp.full_info import EXERCISE_TIE_TOL, first_exercise_prices
 
 from conftest import BASE
 from reference import crr_american_call, crr_european_call, full_width_price_full
@@ -124,3 +125,34 @@ def test_boundaries_nonincreasing_up_to_one_node():
         logs = np.log(b[fin])
         assert np.all(np.diff(logs) <= allowance)
 
+
+def masked_first_exercise_prices(prices, strike, intrinsic, continuation):
+    """The threshold with the in-the-money mask always applied and a separate any() pass."""
+    tied = intrinsic >= continuation - EXERCISE_TIE_TOL * np.maximum(1.0, intrinsic)
+    exercised = (prices > strike) & tied
+    if continuation.ndim == 1:
+        return float(prices[np.argmax(exercised)]) if exercised.any() else inf
+    first = np.argmax(exercised, axis=1)
+    return np.where(exercised.any(axis=1), prices[first], inf)
+
+
+def test_first_exercise_prices_match_the_masked_scan():
+    rng = np.random.default_rng(11)
+    strike = 100.0
+    for _ in range(2000):
+        width = int(rng.integers(1, 12))
+        # ascending prices wholly above the strike, or straddling it, or at or below it
+        low = float(rng.choice([101.0, 80.0, 95.0, strike]))
+        prices = np.sort(low + rng.choice([0.0, 1.0, 5.0, 20.0], size=width).cumsum())
+        intrinsic = np.maximum(prices - strike, 0.0)
+        shape = (width,) if rng.random() < 0.4 else (int(rng.integers(1, 5)), width)
+        # continuation above intrinsic (no exercise), equal to it (an exact tie),
+        # just inside the tie tolerance, or below it
+        offsets = rng.choice([1.0, 0.0, 0.5e-12, -1.0], size=shape)
+        continuation = intrinsic + offsets * np.maximum(1.0, intrinsic)
+        if len(shape) == 2 and rng.random() < 0.3:
+            continuation[0] = intrinsic + 1.0  # a row with no exercise
+        want = masked_first_exercise_prices(prices, strike, intrinsic, continuation)
+        got = first_exercise_prices(prices, strike, intrinsic, continuation)
+        assert np.array_equal(got, want), (prices, continuation)
+        assert type(got) is type(want)

@@ -119,9 +119,11 @@ def test_joint_transitions_absorption_and_no_switch():
     lat = build_lattice(BASE, 2500)
     p = regime_return_probs(BASE, lat)
     # from the switched regime every move keeps regime 1
-    assert transition_matrix(BASE.lam, lat.h).row(1) == (0.0, 1.0)
+    switched = transition_matrix(BASE.lam, lat.h)
+    assert (switched.q10, switched.q11) == (0.0, 1.0)
     # without switching a fresh regime moves by its own law and stays
-    qi0, qi1 = transition_matrix(0.0, lat.h).row(0)
+    fresh = transition_matrix(0.0, lat.h)
+    qi0, qi1 = fresh.q00, fresh.q01
     assert qi1 == 0.0
     assert (p.p_up0 * qi0, p.p_dw0 * qi0) == (p.p_up0, p.p_dw0)
 
@@ -145,7 +147,7 @@ def test_joint_transition_mass_sums_to_one(lam, h, mu0, gap, sigma, regime):
     except AdmissibilityError:
         return
     # the one-step law of (move, next regime): next regime j from the row, then its move
-    qi0, qi1 = q.row(regime)
+    qi0, qi1 = (q.q00, q.q01) if regime == 0 else (q.q10, q.q11)
     mass = (probs.p_up0 * qi0, probs.p_dw0 * qi0, probs.p_up1 * qi1, probs.p_dw1 * qi1)
     assert all(pr >= 0.0 for pr in mass)
     assert sum(mass) == pytest.approx(1.0, abs=1e-14)

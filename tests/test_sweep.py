@@ -9,7 +9,15 @@ from functools import cache
 import numpy as np
 import pytest
 
-from esocp import NonFiniteResultError, _workers, price_european_reference, price_full, price_partial, sweep
+from esocp import (
+    NonFiniteResultError,
+    _workers,
+    partial_info,
+    price_european_reference,
+    price_full,
+    price_partial,
+    sweep,
+)
 
 from conftest import BASE, one_cpu
 from reference import full_width_price_full, full_width_price_partial
@@ -242,7 +250,7 @@ def test_split_on_one_core_matches_full_width(forced_split, deadline, monkeypatc
     # blocks and the scheduler interleaves the halves at random points.
     cpus = os.sched_getaffinity(0)
     monkeypatch.setattr(_workers, "can_fork", lambda: True)
-    monkeypatch.setattr(sweep, "SPIN_TRIES", 1)
+    monkeypatch.setattr(sweep, "SPIN_S", 0.0)
     want = full_width_price_partial(BASE, 200, N_BELIEF, keep_slice_at=100)
     os.sched_setaffinity(0, {min(cpus)})
     try:
@@ -266,6 +274,48 @@ def test_split_zero_trim_matches_full_width(forced_split):
     for name in ("root_layers", "surface", "slice_values", "slice_continuation"):
         assert np.array_equal(getattr(partial, name), want_partial[name]), name
     assert forced_split == [UNDERFLOW_N, UNDERFLOW_N]
+
+
+@pytest.mark.parametrize("n_belief", [2, 3, 21, 50])
+def test_split_by_layers_matches_full_width(n_belief, forced_split, monkeypatch):
+    # L=2 leaves one layer per process; from L=3 on, the child rows one
+    # half's layers read reach into the other half's
+    spans, reads = [], sweep._Sweep.reads
+
+    def recorded(self, *layers):
+        spans.append(reads(self, *layers))
+        return spans[-1]
+
+    monkeypatch.setattr(sweep._Sweep, "reads", recorded)
+    want = full_width_price_partial(BASE, 200, n_belief, keep_slice_at=100)
+    got = price_partial(BASE, 200, n_belief, keep_surface=True, keep_slice_at=100)
+    for name in ("root_layers", "surface", "slice_values", "slice_continuation"):
+        assert np.array_equal(getattr(got, name), want[name]), name
+    grid, half = got.grid, n_belief // 2
+    low_first = min(grid.up_lo[:half].min(), grid.dw_lo[:half].min())
+    low_end = max(grid.up_hi[:half].max(), grid.dw_hi[:half].max()) + 1
+    high_first = min(grid.up_lo[half:].min(), grid.dw_lo[half:].min())
+    assert (low_end > half and high_first < half) == (n_belief > 2)
+    # the caller copies only the child rows of its own layers
+    assert spans == [(low_first, low_end)]
+    assert low_end < n_belief or n_belief == 2
+    assert forced_split == [200]
+    monkeypatch.setattr(sweep, "SPLIT_MIN_ENTRIES", 10**18)
+    assert got.node_steps == price_partial(BASE, 200, n_belief, keep_slice_at=100).node_steps
+
+
+@pytest.mark.parametrize("entries", [1, 100])  # one row per block, or a few
+@pytest.mark.parametrize("split", [False, True], ids=["one process", "split"])
+@pytest.mark.parametrize("case", ["base", "spot_60", "lam_zero"])
+def test_row_blocks_match_full_width(case, split, entries, monkeypatch, request):
+    splits = request.getfixturevalue("forced_split") if split else []
+    monkeypatch.setattr(partial_info, "ROW_BLOCK_ELEMENTS", entries)
+    params = CASES[case]
+    want = full_width_price_partial(params, 60, N_BELIEF, keep_slice_at=30)
+    got = price_partial(params, 60, N_BELIEF, keep_surface=True, keep_slice_at=30)
+    for name in ("root_layers", "surface", "slice_values", "slice_continuation"):
+        assert np.array_equal(getattr(got, name), want[name]), name
+    assert splits == ([60] if split else [])
 
 
 def test_one_cpu_sweeps_in_process(monkeypatch):
@@ -317,27 +367,27 @@ def test_split_engages_only_for_wide_windows(monkeypatch):
 
 
 def misbehave_at(monkeypatch, step, where, action):
-    """Make the sweep's column update at ``step`` call ``action`` first, in
+    """Make the sweep's layer update at ``step`` call ``action`` first, in
     the parent or in the helper process."""
-    parent, real = os.getpid(), sweep._Sweep.columns
+    parent, real = os.getpid(), sweep._Sweep.update
 
-    def columns(self, k, *args):
+    def update(self, k, *args):
         if k == step and (os.getpid() == parent) == (where == "parent"):
             action()
         return real(self, k, *args)
 
-    monkeypatch.setattr(sweep._Sweep, "columns", columns)
+    monkeypatch.setattr(sweep._Sweep, "update", update)
 
 
 def fail():
-    raise ValueError("column update failed on this half")
+    raise ValueError("layer update failed on this half")
 
 
 @pytest.mark.parametrize("step", [59, 0])  # the first and the last step
 @pytest.mark.parametrize("where", ["helper", "parent"])
 def test_sweep_error_is_raised_with_its_message(forced_split, deadline, monkeypatch, where, step):
     misbehave_at(monkeypatch, step, where, fail)
-    with pytest.raises(ValueError, match="column update failed on this half"):
+    with pytest.raises(ValueError, match="layer update failed on this half"):
         price_partial(BASE, 60, N_BELIEF)
     assert forced_split == [60]
     assert_no_child_left()
