@@ -25,7 +25,7 @@ from .lattice import (
     regime_return_probs,
     transition_matrix,
 )
-from .model import DerivedConstants, ModelParams, ParameterError, Regime, derived, load_params, validate
+from .model import DerivedConstants, ModelParams, ParameterError, derived, load_params, validate
 from .partial_info import PartialInfoResult, price_partial, price_partial_exact
 from .perpetual import NoFiniteBoundary, PerpetualSolution, solve_perpetual, verify_odes
 from .simulate import ExerciseOutcome, SimPath, aggregate_stats, replay_policies, simulate_joint_path
@@ -44,7 +44,6 @@ __all__ = [
     "PartialInfoResult",
     "PerpetualSolution",
     "QMatrix",
-    "Regime",
     "RegimeReturnProbs",
     "SimPath",
     "aggregate_stats",

@@ -35,7 +35,6 @@ from .simulate import (
     replay_batch,
     replay_policies,
     simulate_joint_path,
-    surface_threshold,
 )
 
 # Base case used throughout the numerical study: at-the-money ten-year grant.
@@ -83,25 +82,22 @@ class UsageError(Exception):
 
 
 class _Output:
-    """Manifest plus CSV sink; prints to stdout, writes files under --out."""
+    """Manifest plus CSV sink; prints to stdout, writes files under --out.
 
-    def __init__(self, args: argparse.Namespace, command: str):
+    Creating one runs the whole manifest protocol: make --out, record the
+    command, the version, every model parameter and then ``inputs`` in the
+    order given, echo each entry as a ``# key=value`` line and write the same
+    lines to manifest.txt.
+    """
+
+    def __init__(self, args: argparse.Namespace, command: str, params: ModelParams, **inputs):
         self.out_dir = Path(args.out) if args.out else None
         if self.out_dir is not None:
             self.out_dir.mkdir(parents=True, exist_ok=True)
-        self.manifest: list[tuple[str, str]] = [("command", command), ("version", __version__)]
-
-    def record(self, key: str, value) -> None:
-        if isinstance(value, float):
-            value = _fmt(value)
-        self.manifest.append((key, str(value)))
-
-    def record_params(self, params: ModelParams) -> None:
-        for file_key, field in PARAM_KEYS.items():
-            self.record(file_key, getattr(params, field))
-
-    def emit_manifest(self) -> None:
-        lines = [f"{k}={v}" for k, v in self.manifest]
+        entries = [("command", command), ("version", __version__)]
+        entries += [(key, getattr(params, field)) for key, field in PARAM_KEYS.items()]
+        entries += inputs.items()
+        lines = [f"{key}={_fmt(v) if isinstance(v, float) else v}" for key, v in entries]
         if self.out_dir is not None:
             (self.out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
         for line in lines:
@@ -139,13 +135,6 @@ def _roots(job: tuple[ModelParams, int, int, bool, bool]) -> tuple[float, ...]:
     return v + (float(partial.root_at(0.0)), float(partial.root_at(0.5)))
 
 
-def _boundary_rows(result: FullInfoResult):
-    h = result.lattice.h
-    b0, b1 = result.boundary(0), result.boundary(1)
-    for k in range(result.lattice.n_steps + 1):
-        yield (k, k * h, float(b0[k]), float(b1[k]))
-
-
 def _smoothed(steps: np.ndarray, values: np.ndarray, degree: int) -> np.ndarray:
     """Polynomial-regression smoothing of the finite part of a boundary."""
     finite = np.isfinite(values)
@@ -158,21 +147,24 @@ def _smoothed(steps: np.ndarray, values: np.ndarray, degree: int) -> np.ndarray:
     return out
 
 
+def _write_boundary(out: _Output, name: str, result: FullInfoResult, smooth_degree: int | None = None):
+    """Both regimes' exercise boundaries per step, optionally smoothed."""
+    b0, b1 = result.boundary(0), result.boundary(1)
+    if smooth_degree is not None:
+        steps = np.arange(b0.size, dtype=float)
+        b0, b1 = _smoothed(steps, b0, smooth_degree), _smoothed(steps, b1, smooth_degree)
+    h = result.lattice.h
+    rows = ((k, k * h, float(b0[k]), float(b1[k])) for k in range(b0.size))
+    out.write_csv(name, ["step", "time_years", "boundary_regime0", "boundary_regime1"], rows)
+
+
 def cmd_price_full(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
-    out = _Output(args, "price-full")
-    out.record_params(params)
-    out.record("N", args.N)
-    out.record("literal_pl_exponent", args.literal_pl_exponent)
-    out.emit_manifest()
+    out = _Output(args, "price-full", params, N=args.N, literal_pl_exponent=args.literal_pl_exponent)
     result = price_full(params, args.N, literal_exponent=args.literal_pl_exponent)
     print(f"v0 = {result.v0_root:.6f}")
     print(f"v1 = {result.v1_root:.6f}")
-    out.write_csv(
-        "boundary.csv",
-        ["step", "time_years", "boundary_regime0", "boundary_regime1"],
-        _boundary_rows(result),
-    )
+    _write_boundary(out, "boundary.csv", result)
     return 0
 
 
@@ -180,13 +172,10 @@ def cmd_price_partial(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
     y0_list = args.y0_list if args.y0_list else [params.y0]
     _check_beliefs(y0_list)
-    out = _Output(args, "price-partial")
-    out.record_params(params)
-    out.record("N", args.N)
-    out.record("L", args.L)
-    out.record("y0_list", ",".join(_fmt(y) for y in y0_list))
-    out.record("literal_pl_exponent", args.literal_pl_exponent)
-    out.emit_manifest()
+    out = _Output(
+        args, "price-partial", params, N=args.N, L=args.L,
+        y0_list=",".join(_fmt(y) for y in y0_list), literal_pl_exponent=args.literal_pl_exponent,
+    )
     result = price_partial(params, args.N, args.L, literal_exponent=args.literal_pl_exponent)
     rows = []
     for y0 in y0_list:
@@ -199,22 +188,13 @@ def cmd_price_partial(args: argparse.Namespace) -> int:
 
 def cmd_boundary(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
-    out = _Output(args, "boundary")
-    out.record_params(params)
-    out.record("N", args.N)
-    out.record("literal_pl_exponent", args.literal_pl_exponent)
-    out.record("smooth", args.smooth)
-    out.emit_manifest()
+    out = _Output(
+        args, "boundary", params, N=args.N, literal_pl_exponent=args.literal_pl_exponent, smooth=args.smooth
+    )
     result = price_full(params, args.N, literal_exponent=args.literal_pl_exponent)
-    header = ["step", "time_years", "boundary_regime0", "boundary_regime1"]
-    out.write_csv("boundary.csv", header, _boundary_rows(result))
+    _write_boundary(out, "boundary.csv", result)
     if args.smooth:
-        steps = np.arange(args.N + 1, dtype=float)
-        s0 = _smoothed(steps, result.boundary(0), args.smooth_degree)
-        s1 = _smoothed(steps, result.boundary(1), args.smooth_degree)
-        h = result.lattice.h
-        rows = ((k, k * h, float(s0[k]), float(s1[k])) for k in range(args.N + 1))
-        out.write_csv("boundary_smoothed.csv", header, rows)
+        _write_boundary(out, "boundary_smoothed.csv", result, args.smooth_degree)
     if out.out_dir is None:
         b0, b1 = result.boundary(0), result.boundary(1)
         print(f"boundary at t=0: regime0 {_fmt(float(b0[0]))}, regime1 {_fmt(float(b1[0]))}")
@@ -223,12 +203,7 @@ def cmd_boundary(args: argparse.Namespace) -> int:
 
 def cmd_surface(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
-    out = _Output(args, "surface")
-    out.record_params(params)
-    out.record("N", args.N)
-    out.record("L", args.L)
-    out.record("literal_pl_exponent", args.literal_pl_exponent)
-    out.emit_manifest()
+    out = _Output(args, "surface", params, N=args.N, L=args.L, literal_pl_exponent=args.literal_pl_exponent)
     result = price_partial(
         params, args.N, args.L, literal_exponent=args.literal_pl_exponent, keep_surface=True
     )
@@ -248,9 +223,7 @@ def cmd_surface(args: argparse.Namespace) -> int:
 
 def cmd_perpetual(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
-    out = _Output(args, "perpetual")
-    out.record_params(params)
-    out.emit_manifest()
+    out = _Output(args, "perpetual", params)
     solution = solve_perpetual(params)
     if isinstance(solution, NoFiniteBoundary):
         print(f"no finite exercise boundary: {solution.reason}")
@@ -268,63 +241,50 @@ def cmd_perpetual(args: argparse.Namespace) -> int:
     return 0
 
 
+def _export_paths(out: _Output, params, full, partial, seed: int, n_export: int, belief_starts) -> None:
+    """Write paths 0..n_export-1 of the batch stream, with the thresholds each
+    agent's replay compared the stock against."""
+    agents = ["insider"] + [f"outsider(y0={y0:g})" for y0 in belief_starts]
+    header = ["step", "time", "stock", "regime"] + [f"belief_y0={y0:g}" for y0 in belief_starts]
+    header += ["insider_boundary"] + [f"outsider_boundary_y0={y0:g}" for y0 in belief_starts]
+    header += ["exercise_insider"] + [f"exercise_outsider_y0={y0:g}" for y0 in belief_starts]
+    lattice = full.lattice
+    for i in range(n_export):
+        path = simulate_joint_path(params, lattice, full.q, full.p, (seed, i), belief_starts)
+        by_name = {o.agent: o for o in replay_policies(path, full, dict.fromkeys(belief_starts, partial))}
+        outcomes = [by_name[agent] for agent in agents]
+        rows = (
+            [k, k * lattice.h, float(path.stock[k]), int(path.regime[k])]
+            + [float(path.beliefs[y0][k]) for y0 in belief_starts]
+            + [float(o.thresholds[k]) for o in outcomes]
+            + [int(o.exercise_step == k) for o in outcomes]
+            for k in range(lattice.n_steps + 1)
+        )
+        out.write_csv(f"path_{i:04d}.csv", header, rows)
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
     belief_starts = tuple(args.y0_list) if args.y0_list else (0.0, 0.5)
     _check_beliefs(belief_starts)
+    if args.paths < 1:
+        raise UsageError(f"--paths must be >= 1, got {args.paths}")
+    if args.export_paths < 0:
+        raise UsageError(f"--export-paths must be >= 0, got {args.export_paths}")
     n_export = min(args.export_paths, args.paths)
-    out = _Output(args, "simulate")
-    out.record_params(params)
-    out.record("N", args.N)
-    out.record("L", args.L)
-    out.record("seed", args.seed)
-    out.record("paths", args.paths)
-    out.record("export_paths", n_export)
-    out.record("belief_starts", ",".join(_fmt(y) for y in belief_starts))
-    out.record("rng", RNG_NAME)
-    out.record("literal_pl_exponent", args.literal_pl_exponent)
-    out.emit_manifest()
-
+    out = _Output(
+        args, "simulate", params, N=args.N, L=args.L, seed=args.seed, paths=args.paths,
+        export_paths=n_export, belief_starts=",".join(_fmt(y) for y in belief_starts), rng=RNG_NAME,
+        literal_pl_exponent=args.literal_pl_exponent,
+    )
     full = price_full(params, args.N, literal_exponent=args.literal_pl_exponent)
     partial = price_partial(
         params, args.N, args.L, literal_exponent=args.literal_pl_exponent, keep_surface=True
     )
-    lattice, q, p = full.lattice, full.q, full.p
-
-    for i in range(n_export):
-        path = simulate_joint_path(params, lattice, q, p, (args.seed, i), belief_starts)
-        outcomes = replay_policies(path, full, {y0: partial for y0 in belief_starts})
-        exercise_step = {o.agent: o.exercise_step for o in outcomes}
-        header = ["step", "time", "stock", "regime"]
-        for y0 in belief_starts:
-            header.append(f"belief_y0={y0:g}")
-        header.append("insider_boundary")
-        for y0 in belief_starts:
-            header.append(f"outsider_boundary_y0={y0:g}")
-        header.append("exercise_insider")
-        for y0 in belief_starts:
-            header.append(f"exercise_outsider_y0={y0:g}")
-
-        def rows(path=path, exercise_step=exercise_step):
-            b = (full.boundary(0), full.boundary(1))
-            for k in range(args.N + 1):
-                row = [k, k * lattice.h, float(path.stock[k]), int(path.regime[k])]
-                row += [float(path.beliefs[y0][k]) for y0 in belief_starts]
-                row.append(float(b[path.regime[k]][k]))
-                row += [
-                    float(surface_threshold(partial.surface[k], partial, path.beliefs[y0][k]))
-                    for y0 in belief_starts
-                ]
-                row.append(int(exercise_step["insider"] == k))
-                row += [
-                    int(exercise_step[f"outsider(y0={y0:g})"] == k) for y0 in belief_starts
-                ]
-                yield row
-
-        out.write_csv(f"path_{i:04d}.csv", header, rows())
-
+    if out.out_dir is not None:
+        _export_paths(out, params, full, partial, args.seed, n_export, belief_starts)
     results = replay_batch(full, partial, args.paths, args.seed, belief_starts)
-    table = aggregate_stats(results, lattice.h)
+    table = aggregate_stats(results, full.lattice.h)
     print(table.as_text())
     out.write_csv(
         "summary.csv",
@@ -348,12 +308,7 @@ TABLE1_LAMBDA = (0.10, 0.20)
 
 def cmd_table1(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
-    out = _Output(args, "table1")
-    out.record_params(params)
-    out.record("N", args.N)
-    out.record("L", args.L)
-    out.record("literal_pl_exponent", args.literal_pl_exponent)
-    out.emit_manifest()
+    out = _Output(args, "table1", params, N=args.N, L=args.L, literal_pl_exponent=args.literal_pl_exponent)
     cells = [
         (mu0, mu1, sigma, lam)
         for lam in TABLE1_LAMBDA
@@ -382,15 +337,11 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 def cmd_converge(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
-    out = _Output(args, "converge")
-    out.record_params(params)
-    out.record("N_list", ",".join(str(n) for n in args.N_list))
-    out.record("L_list", ",".join(str(l) for l in args.L_list))
-    out.record("L", args.L)
-    out.record("N", args.N)
-    out.record("literal_pl_exponent", args.literal_pl_exponent)
-    out.emit_manifest()
-
+    out = _Output(
+        args, "converge", params, N_list=",".join(str(n) for n in args.N_list),
+        L_list=",".join(str(l) for l in args.L_list), L=args.L, N=args.N,
+        literal_pl_exponent=args.literal_pl_exponent,
+    )
     literal = args.literal_pl_exponent
     jobs = [(params, n, args.L, literal, True) for n in args.N_list]
     jobs += [(params, args.N, l, literal, False) for l in args.L_list]

@@ -25,32 +25,26 @@ from .model import ModelParams
 _EXACT_HIT_TOL = 1e-9
 
 
-def _move_probs(q: QMatrix, p: RegimeReturnProbs, move: str) -> tuple[float, float]:
-    if move == "up":
-        return p.p_up0, p.p_up1
-    if move == "dw":
-        return p.p_dw0, p.p_dw1
-    raise ValueError(f"move must be 'up' or 'dw', got {move!r}")
-
-
-def predict_return_prob(y, q: QMatrix, p: RegimeReturnProbs, move: str):
-    """Probability of the given move over the next step, at belief y.
+def predict_return_prob(y, q: QMatrix, p: RegimeReturnProbs, up: bool):
+    """Probability of an up move (up=True) or a down move over the next step,
+    at belief y.
 
     Accepts a scalar or ndarray belief; returns the same shape.
     """
-    p0, p1 = _move_probs(q, p, move)
+    p0, p1 = (p.p_up0, p.p_up1) if up else (p.p_dw0, p.p_dw1)
     y = np.asarray(y)
     out = p0 * (q.q00 * (1.0 - y) + q.q10 * y) + p1 * (q.q01 * (1.0 - y) + q.q11 * y)
     return out if out.ndim else float(out)
 
 
-def update_belief(y, move: str, q: QMatrix, p: RegimeReturnProbs):
-    """Posterior regime-1 probability after observing the given move.
+def update_belief(y, up: bool, q: QMatrix, p: RegimeReturnProbs):
+    """Posterior regime-1 probability after observing an up move (up=True) or
+    a down move.
 
     Bayes update with the one-step-ahead prior; y = 1 is a fixed point.
     Accepts a scalar or ndarray belief; returns the same shape.
     """
-    p0, p1 = _move_probs(q, p, move)
+    p0, p1 = (p.p_up0, p.p_up1) if up else (p.p_dw0, p.p_dw1)
     y = np.asarray(y)
     favour = p1 * (q.q01 * (1.0 - y) + q.q11 * y)
     denom = p0 * (q.q00 * (1.0 - y) + q.q10 * y) + favour
@@ -111,8 +105,8 @@ def build_grid(n_points: int, q: QMatrix, p: RegimeReturnProbs) -> FilterGrid:
     if n_points < 2:
         raise ValueError(f"belief grid needs at least 2 points, got {n_points}")
     points = np.linspace(0.0, 1.0, n_points)
-    y_up = np.asarray(update_belief(points, "up", q, p))
-    y_dw = np.asarray(update_belief(points, "dw", q, p))
+    y_up = np.asarray(update_belief(points, True, q, p))
+    y_dw = np.asarray(update_belief(points, False, q, p))
     # The posterior targets collapse only on an exact hit (y = 1 always, y = 0
     # without switching).  Snapping a posterior that is merely close, such as
     # 1.4e-10 at a switching intensity of 1e-9, would drop the switch and

@@ -9,20 +9,12 @@ the physical measure, with no trading in the underlying.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 from math import isfinite
 from pathlib import Path
 
 
 class ParameterError(ValueError):
     """Raised when model constants violate the model's standing assumptions."""
-
-
-class Regime(IntEnum):
-    """Drift state: HIGH before the change point, LOW (absorbing) after."""
-
-    HIGH = 0
-    LOW = 1
 
 
 @dataclass(frozen=True)

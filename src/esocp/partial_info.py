@@ -95,8 +95,8 @@ def price_partial(
     grid = build_grid(n_belief, q, p)
     disc = exp(-params.r * lattice.h)
 
-    p_up = np.asarray(predict_return_prob(grid.points, q, p, "up"))
-    p_dw = np.asarray(predict_return_prob(grid.points, q, p, "dw"))
+    p_up = np.asarray(predict_return_prob(grid.points, q, p, True))
+    p_dw = np.asarray(predict_return_prob(grid.points, q, p, False))
     pu, pd = p_up[:, None], p_dw[:, None]
     wu, wd = grid.w_up[:, None], grid.w_dw[:, None]
     wu_lo, wd_lo = 1.0 - wu, 1.0 - wd
@@ -192,8 +192,8 @@ def price_partial_exact(
     for k in range(n_steps):
         y = beliefs[k]
         nxt = np.empty(2 * y.size)
-        nxt[0::2] = update_belief(y, "up", q, p)
-        nxt[1::2] = update_belief(y, "dw", q, p)
+        nxt[0::2] = update_belief(y, True, q, p)
+        nxt[1::2] = update_belief(y, False, q, p)
         beliefs.append(nxt)
         j = up_counts[k]
         jn = np.empty(2 * j.size, dtype=np.int64)
@@ -207,7 +207,7 @@ def price_partial_exact(
 
     value = intrinsic_at(n_steps)
     for k in range(n_steps - 1, -1, -1):
-        pu = np.asarray(predict_return_prob(beliefs[k], q, p, "up"))
+        pu = np.asarray(predict_return_prob(beliefs[k], q, p, True))
         cont = disc * (pu * value[0::2] + (1.0 - pu) * value[1::2])
         value = np.maximum(intrinsic_at(k), cont)
     return float(value[0])

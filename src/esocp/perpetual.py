@@ -72,11 +72,7 @@ class PerpetualSolution:
     def threshold_equation(self, x) -> float | np.ndarray:
         """Residual of the x0 matching equation at a candidate threshold."""
         k = self.params.strike
-        return (
-            (self.A - 1.0) * (self.beta - 1.0) * x
-            + (self.beta + self.delta) * self.D * (self.x1 / x) ** self.delta
-            + self.beta * (k + self.B)
-        )
+        return _threshold_residual(x, self.A, self.B, self.D, self.beta, self.delta, k, self.x1)
 
 
 def solve_perpetual(params: ModelParams) -> PerpetualSolution | NoFiniteBoundary:
@@ -140,11 +136,16 @@ def solve_perpetual(params: ModelParams) -> PerpetualSolution | NoFiniteBoundary
     )
 
 
+def _threshold_residual(x, A: float, B: float, D: float, beta: float, delta: float, k: float, x1: float):
+    """Residual of the x0 matching equation; its root above x1 is x0."""
+    return (A - 1.0) * (beta - 1.0) * x + (beta + delta) * D * (x1 / x) ** delta + beta * (k + B)
+
+
 def _solve_threshold(
     A: float, B: float, D: float, beta: float, delta: float, k: float, x1: float
 ) -> float:
     def g(x: float) -> float:
-        return (A - 1.0) * (beta - 1.0) * x + (beta + delta) * D * (x1 / x) ** delta + beta * (k + B)
+        return _threshold_residual(x, A, B, D, beta, delta, k, x1)
 
     lo, f_lo = x1, g(x1)
     if f_lo == 0.0:

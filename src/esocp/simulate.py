@@ -47,14 +47,6 @@ class SimPath:
     switch_step: int | None  # first step in regime 1; None if never
     beliefs: dict[float, np.ndarray]  # filtered path per initial belief
 
-    @property
-    def n_steps(self) -> int:
-        return self.lattice.n_steps
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.lattice.h * np.arange(self.n_steps + 1)
-
 
 @dataclass(frozen=True)
 class ExerciseOutcome:
@@ -62,6 +54,7 @@ class ExerciseOutcome:
     exercise_step: int | None
     exercise_price: float  # nan when never exercised
     payoff: float  # discounted to time zero
+    thresholds: np.ndarray  # (N+1,) price the stock was compared against per step
 
 
 def _switch_step_from_uniform(u: float | np.ndarray, q00: float):
@@ -118,7 +111,7 @@ def simulate_joint_path(
         path = np.empty(n + 1)
         path[0] = y = y0
         for step in range(n):
-            y = update_belief(y, "up" if ups[step] else "dw", q, p)
+            y = update_belief(y, ups[step], q, p)
             path[step + 1] = y
         beliefs[y0] = path
 
@@ -185,27 +178,28 @@ def replay_policies(
     The insider stops the first time the stock crosses the boundary of the
     regime they currently observe; each outsider variant stops at the first
     crossing of the surface threshold interpolated at her current belief.
+    Each outcome keeps the per-step thresholds its agent was compared with.
     """
     _check_same_lattice(path.lattice, full_result.lattice, "full-information pricing")
     _check_beliefs(partial_results)
     strike = full_result.params.strike
     disc = _discount_factors(full_result)
 
-    def outcome(agent: str, step: int | None) -> ExerciseOutcome:
+    def outcome(agent: str, thresholds: np.ndarray) -> ExerciseOutcome:
+        step = _first_crossing(path.stock, thresholds)
         if step is None:
-            return ExerciseOutcome(agent=agent, exercise_step=None, exercise_price=nan, payoff=0.0)
+            return ExerciseOutcome(agent, None, nan, 0.0, thresholds)
         x = float(path.stock[step])
-        payoff = float(disc[step] * max(x - strike, 0.0))
-        return ExerciseOutcome(agent=agent, exercise_step=step, exercise_price=x, payoff=payoff)
+        return ExerciseOutcome(agent, step, x, float(disc[step] * max(x - strike, 0.0)), thresholds)
 
     insider = np.where(path.regime == 1, full_result.boundary(1), full_result.boundary(0))
-    outcomes = [outcome("insider", _first_crossing(path.stock, insider))]
+    outcomes = [outcome("insider", insider)]
     for y0, partial in partial_results.items():
         _check_policies(full_result, partial, f"partial pricing (y0={y0:g})")
         threshold = np.array(
             [surface_threshold(s, partial, y) for s, y in zip(partial.surface, path.beliefs[y0])]
         )
-        outcomes.append(outcome(f"outsider(y0={y0:g})", _first_crossing(path.stock, threshold)))
+        outcomes.append(outcome(f"outsider(y0={y0:g})", threshold))
     return outcomes
 
 

@@ -107,8 +107,8 @@ def full_width_price_partial(params, n_steps: int, n_belief: int, keep_slice_at:
     disc = exp(-params.r * lattice.h)
     strike = params.strike
 
-    p_up = np.asarray(predict_return_prob(grid.points, q, p, "up"))[:, None]
-    p_dw = np.asarray(predict_return_prob(grid.points, q, p, "dw"))[:, None]
+    p_up = np.asarray(predict_return_prob(grid.points, q, p, True))[:, None]
+    p_dw = np.asarray(predict_return_prob(grid.points, q, p, False))[:, None]
     wu = grid.w_up[:, None]
     wd = grid.w_dw[:, None]
     surface = np.full((n_steps + 1, n_belief), inf)
@@ -196,6 +196,6 @@ def path_at_a_time_replay(full, partial, uniforms: np.ndarray, belief_starts) ->
                     step = k
                     break
                 if k < n:
-                    y = update_belief(y, "up" if ups[k] else "dw", q, p)
+                    y = update_belief(y, ups[k], q, p)
             record(agent, i, step, stock)
     return out

@@ -215,11 +215,11 @@ def test_criterion_08_filter_properties():
     q = transition_matrix(BASE.lam, lat.h)
     p = regime_return_probs(BASE, lat)
     ys = np.linspace(0.0, 1.0, 1001)
-    pu = predict_return_prob(ys, q, p, "up")
-    pd = predict_return_prob(ys, q, p, "dw")
+    pu = predict_return_prob(ys, q, p, True)
+    pd = predict_return_prob(ys, q, p, False)
     sum_gap = float(np.max(np.abs(pu + pd - 1.0)))
-    yu = update_belief(ys, "up", q, p)
-    yd = update_belief(ys, "dw", q, p)
+    yu = update_belief(ys, True, q, p)
+    yd = update_belief(ys, False, q, p)
     mean_gap = float(np.max(np.abs(pu * yu + pd * yd - (q.q01 * (1 - ys) + q.q11 * ys))))
     monotone = bool(np.all(yd >= yu))
 

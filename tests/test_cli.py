@@ -9,6 +9,7 @@ import pytest
 from esocp import _workers, cli, price_full, price_partial
 from esocp.cli import main
 from esocp.lattice import AdmissibilityError
+from esocp.simulate import simulate_joint_path, surface_threshold
 
 from conftest import BASE, one_cpu
 
@@ -259,3 +260,112 @@ def test_literal_exponent_flag_changes_values(capsys):
     _, literal_out, _ = run(capsys, "price-full", "--N", "100", "--literal-pl-exponent")
     v = lambda s: float([l for l in s.splitlines() if l.startswith("v0")][0].split(" = ")[1])
     assert abs(v(default_out) - v(literal_out)) > 1.0
+
+
+MODEL_KEYS = ["command", "version", "mu0", "mu1", "sigma", "lambda", "r", "strike", "maturity", "spot", "y0"]
+
+
+@pytest.mark.parametrize(
+    "argv, inputs",
+    [
+        (["price-full", "--N", "30"], ["N", "literal_pl_exponent"]),
+        (
+            ["price-partial", "--N", "30", "--L", "5", "--y0", "0.5"],
+            ["N", "L", "y0_list", "literal_pl_exponent"],
+        ),
+        (["boundary", "--N", "30", "--smooth"], ["N", "literal_pl_exponent", "smooth"]),
+        (["surface", "--N", "30", "--L", "5"], ["N", "L", "literal_pl_exponent"]),
+        (["perpetual", "--x-points", "5"], []),
+        (
+            ["simulate", "--N", "30", "--L", "5", "--paths", "2"],
+            ["N", "L", "seed", "paths", "export_paths", "belief_starts", "rng", "literal_pl_exponent"],
+        ),
+        (["table1", "--N", "10", "--L", "3"], ["N", "L", "literal_pl_exponent"]),
+        (
+            ["converge", "--N-list", "20", "--L-list", "3", "--N", "20", "--L", "3"],
+            ["N_list", "L_list", "L", "N", "literal_pl_exponent"],
+        ),
+    ],
+)
+def test_manifest_keys_and_echo(tmp_path, capsys, argv, inputs):
+    code, out, _ = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 0
+    manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+    assert [line.split("=", 1)[0] for line in manifest] == MODEL_KEYS + inputs
+    assert manifest[0] == f"command={argv[0]}"
+    # the echo comes first on stdout and is the manifest line for line
+    assert out.splitlines()[: len(manifest)] == [f"# {line}" for line in manifest]
+    assert len([line for line in out.splitlines() if line.startswith("# ")]) == len(manifest)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--paths", "0"), "--paths must be >= 1, got 0"),
+        (("--paths", "-3"), "--paths must be >= 1, got -3"),
+        (("--export-paths", "-1"), "--export-paths must be >= 0, got -1"),
+    ],
+)
+def test_bad_path_counts_are_usage_errors_before_pricing(tmp_path, capsys, monkeypatch, flags, message):
+    def no_pricing(*args, **kwargs):
+        raise AssertionError("priced before validating the path counts")
+
+    monkeypatch.setattr(cli, "price_full", no_pricing)
+    monkeypatch.setattr(cli, "price_partial", no_pricing)
+    code, out, err = run(capsys, "simulate", "--N", "20", "--L", "5", *flags, "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert out == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_exports_paths_only_with_out(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return simulate_joint_path(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_joint_path", counted)
+    args = ("simulate", "--N", "30", "--L", "5", "--paths", "3", "--export-paths", "2")
+    code, out, _ = run(capsys, *args)
+    assert code == 0 and calls == []
+    assert "wrote" not in out
+    code, _, _ = run(capsys, *args, "--out", str(tmp_path))
+    assert code == 0 and len(calls) == 2
+    assert sorted(p.name for p in tmp_path.glob("path_*.csv")) == ["path_0000.csv", "path_0001.csv"]
+
+
+def test_path_csv_thresholds_match_per_row_recomputation(tmp_path, capsys):
+    # a repeated --y0 keeps one column per flag
+    starts = (0.5, 0.5, 1.0)
+    code, _, _ = run(capsys, "simulate", "--N", "40", "--L", "11", "--seed", "5", "--paths", "3",
+                     "--y0", "0.5", "--y0", "0.5", "--y0", "1", "--out", str(tmp_path))
+    assert code == 0
+    full = price_full(BASE, 40)
+    partial = price_partial(BASE, 40, 11, keep_surface=True)
+    b = (full.boundary(0), full.boundary(1))
+    m = len(starts)
+    for i in range(3):
+        lines = (tmp_path / f"path_{i:04d}.csv").read_text().splitlines()
+        assert lines[0].split(",") == (
+            ["step", "time", "stock", "regime"] + [f"belief_y0={y:g}" for y in starts] + ["insider_boundary"]
+            + [f"outsider_boundary_y0={y:g}" for y in starts] + ["exercise_insider"]
+            + [f"exercise_outsider_y0={y:g}" for y in starts]
+        )
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        path = simulate_joint_path(BASE, full.lattice, full.q, full.p, (5, i), starts)
+        assert np.array_equal(rows[:, 2], path.stock) and np.array_equal(rows[:, 3], path.regime)
+        beliefs, thresholds, flags = rows[:, 4 : 4 + m], rows[:, 4 + m : 5 + 2 * m], rows[:, 5 + 2 * m :]
+        for k, row in enumerate(rows):
+            assert thresholds[k, 0] == b[int(row[3])][k]
+            for c, y0 in enumerate(starts):
+                assert beliefs[k, c] == path.beliefs[y0][k]
+                assert thresholds[k, 1 + c] == surface_threshold(partial.surface[k], partial, beliefs[k, c])
+        # each agent exercises at its first crossing of the written thresholds
+        for c in range(m + 1):
+            crossed = np.flatnonzero(rows[:, 2] >= thresholds[:, c])
+            expected = np.zeros(41)
+            if crossed.size:
+                expected[crossed[0]] = 1.0
+            assert np.array_equal(flags[:, c], expected)

@@ -35,41 +35,41 @@ def chain():
 def test_predict_pure_regimes(chain):
     q, p = chain
     q0 = transition_matrix(0.0, 0.004)
-    assert predict_return_prob(0.0, q0, p, "up") == p.p_up0
-    assert predict_return_prob(0.0, q0, p, "dw") == p.p_dw0
-    assert predict_return_prob(1.0, q, p, "up") == p.p_up1
-    assert predict_return_prob(1.0, q, p, "dw") == p.p_dw1
+    assert predict_return_prob(0.0, q0, p, True) == p.p_up0
+    assert predict_return_prob(0.0, q0, p, False) == p.p_dw0
+    assert predict_return_prob(1.0, q, p, True) == p.p_up1
+    assert predict_return_prob(1.0, q, p, False) == p.p_dw1
 
 
 def test_predict_formula_midpoint(chain):
     q, p = chain
     y = 0.5
     expected = p.p_up0 * (q.q00 * (1 - y) + q.q10 * y) + p.p_up1 * (q.q01 * (1 - y) + q.q11 * y)
-    assert predict_return_prob(y, q, p, "up") == pytest.approx(expected, rel=1e-15)
+    assert predict_return_prob(y, q, p, True) == pytest.approx(expected, rel=1e-15)
 
 
 def test_predict_sums_to_one_sweep(chain):
     q, p = chain
     ys = np.linspace(0.0, 1.0, 1001)
-    total = predict_return_prob(ys, q, p, "up") + predict_return_prob(ys, q, p, "dw")
+    total = predict_return_prob(ys, q, p, True) + predict_return_prob(ys, q, p, False)
     assert np.max(np.abs(total - 1.0)) <= 1e-14
 
 
 def test_update_fixed_points(chain):
     q, p = chain
-    assert update_belief(1.0, "up", q, p) == 1.0
-    assert update_belief(1.0, "dw", q, p) == 1.0
+    assert update_belief(1.0, True, q, p) == 1.0
+    assert update_belief(1.0, False, q, p) == 1.0
     q0 = transition_matrix(0.0, 0.004)
-    assert update_belief(0.0, "up", q0, p) == 0.0
-    assert update_belief(0.0, "dw", q0, p) == 0.0
+    assert update_belief(0.0, True, q0, p) == 0.0
+    assert update_belief(0.0, False, q0, p) == 0.0
 
 
 def test_down_moves_raise_belief(chain):
     # mu0 > mu1: a down move is evidence for the low-drift regime
     q, p = chain
     ys = np.linspace(0.0, 1.0, 1001)
-    y_up = update_belief(ys, "up", q, p)
-    y_dw = update_belief(ys, "dw", q, p)
+    y_up = update_belief(ys, True, q, p)
+    y_dw = update_belief(ys, False, q, p)
     assert np.all(y_dw >= y_up)
     interior = (ys > 0) & (ys < 1)
     assert np.all(y_dw[interior] > y_up[interior])
@@ -79,9 +79,9 @@ def test_posterior_mean_consistency(chain):
     # one-step predicted mean of the posterior = prior predictive of state 1
     q, p = chain
     ys = np.linspace(0.0, 1.0, 1001)
-    lhs = predict_return_prob(ys, q, p, "up") * update_belief(ys, "up", q, p) + predict_return_prob(
-        ys, q, p, "dw"
-    ) * update_belief(ys, "dw", q, p)
+    lhs = predict_return_prob(ys, q, p, True) * update_belief(ys, True, q, p) + predict_return_prob(
+        ys, q, p, False
+    ) * update_belief(ys, False, q, p)
     rhs = q.q01 * (1.0 - ys) + q.q11 * ys
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
@@ -92,14 +92,14 @@ def test_posterior_mean_consistency(chain):
     lam=st.floats(0.0, 5.0),
     mu0=st.floats(-0.2, 0.3),
     gap=st.floats(1e-3, 0.3),
-    move=st.sampled_from(["up", "dw"]),
+    up=st.booleans(),
 )
-def test_update_stays_in_unit_interval(y, lam, mu0, gap, move):
+def test_update_stays_in_unit_interval(y, lam, mu0, gap, up):
     p = replace(BASE, mu0=mu0, mu1=mu0 - gap, lam=lam)
     lat = build_lattice(p, 100)
     q = transition_matrix(lam, lat.h)
     probs = regime_return_probs(p, lat)
-    out = update_belief(y, move, q, probs)
+    out = update_belief(y, up, q, probs)
     assert 0.0 <= out <= 1.0
 
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from esocp import ModelParams, ParameterError, Regime, derived, load_params, validate
+from esocp import ModelParams, ParameterError, derived, load_params, validate
 from esocp.model import parse_rate
 
 from conftest import BASE
@@ -47,11 +47,6 @@ def test_eta_is_one_when_drift_gap_equals_sigma():
     p = ModelParams(mu0=0.25, mu1=-0.05, sigma=0.30, lam=0.1, r=0.025,
                     strike=100.0, maturity=10.0, spot=100.0)
     assert derived(p).eta == pytest.approx(1.0, abs=1e-15)
-
-
-def test_regime_labels():
-    assert list(Regime) == [Regime.HIGH, Regime.LOW]
-    assert int(Regime.HIGH) == 0 and int(Regime.LOW) == 1
 
 
 def test_parse_rate_percent():

@@ -27,7 +27,7 @@ def test_single_step_closed_form():
     q = transition_matrix(BASE.lam, lat.h)
     p = regime_return_probs(BASE, lat)
     y0 = 0.3
-    pu = predict_return_prob(y0, q, p, "up")
+    pu = predict_return_prob(y0, q, p, True)
     expected = max(
         0.0,
         exp(-BASE.r * lat.h)

@@ -70,7 +70,7 @@ def test_path_internal_consistency(machinery):
     for y0, beliefs in path.beliefs.items():
         y = y0
         for k in range(N):
-            y = update_belief(y, "up" if path.ups[k] else "dw", q, p)
+            y = update_belief(y, path.ups[k], q, p)
             assert beliefs[k + 1] == y  # replayed filter is the filter
 
 
@@ -156,7 +156,7 @@ def _crafted_path(lat, q, p, ups, switch_step):
         ys = np.empty(n + 1)
         ys[0] = y = y0
         for k in range(n):
-            y = update_belief(y, "up" if ups[k] else "dw", q, p)
+            y = update_belief(y, ups[k], q, p)
             ys[k + 1] = y
         beliefs[y0] = ys
     return SimPath(seed=None, lattice=lat, ups=ups, stock=stock, regime=regime,
