@@ -14,7 +14,7 @@ from .filtering import (
     predict_return_prob,
     update_belief,
 )
-from .full_info import FullInfoResult, price_european_reference, price_full
+from .full_info import FullInfoResult, price_european_reference, price_full, price_full_roots
 from .lattice import (
     AdmissibilityError,
     Lattice,
@@ -55,6 +55,7 @@ __all__ = [
     "predict_return_prob",
     "price_european_reference",
     "price_full",
+    "price_full_roots",
     "price_partial",
     "price_partial_exact",
     "regime_return_probs",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from dataclasses import replace
 from math import isfinite
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from ._workers import ordered_map
-from .full_info import FullInfoResult, price_full
+from .full_info import FullInfoResult, price_full, price_full_roots
 from .lattice import AdmissibilityError
 from .model import PARAM_KEYS, ModelParams, ParameterError, load_params, parse_rate, validate
 from .partial_info import price_partial
@@ -81,16 +82,28 @@ class UsageError(Exception):
     pass
 
 
+def _check_sizes(args: argparse.Namespace) -> None:
+    """Path counts, lattice sizes (--N, --L and their lists) and --seed out of
+    range are usage errors."""
+    bounds = (("paths", 1), ("export_paths", 0), ("N", 1), ("L", 2), ("N_list", 1), ("L_list", 2), ("seed", 0))
+    for dest, minimum in bounds:
+        values = getattr(args, dest, None)
+        for value in values if isinstance(values, list) else [values]:
+            if value is not None and value < minimum:
+                raise UsageError(f"--{dest.replace('_', '-')} must be >= {minimum}, got {value}")
+
+
 class _Output:
     """Manifest plus CSV sink; prints to stdout, writes files under --out.
 
-    Creating one runs the whole manifest protocol: make --out, record the
-    command, the version, every model parameter and then ``inputs`` in the
-    order given, echo each entry as a ``# key=value`` line and write the same
-    lines to manifest.txt.
+    Creating one runs the whole manifest protocol: check the sizes, make
+    --out, record the command, the version, every model parameter and then
+    ``inputs`` in the order given, echo each entry as a ``# key=value`` line
+    and write the same lines to manifest.txt.
     """
 
     def __init__(self, args: argparse.Namespace, command: str, params: ModelParams, **inputs):
+        _check_sizes(args)
         self.out_dir = Path(args.out) if args.out else None
         if self.out_dir is not None:
             self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -267,10 +280,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
     belief_starts = tuple(args.y0_list) if args.y0_list else (0.0, 0.5)
     _check_beliefs(belief_starts)
-    if args.paths < 1:
-        raise UsageError(f"--paths must be >= 1, got {args.paths}")
-    if args.export_paths < 0:
-        raise UsageError(f"--export-paths must be >= 0, got {args.export_paths}")
     n_export = min(args.export_paths, args.paths)
     out = _Output(
         args, "simulate", params, N=args.N, L=args.L, seed=args.seed, paths=args.paths,
@@ -306,27 +315,47 @@ TABLE1_SIGMA = (0.20, 0.30, 0.40)
 TABLE1_LAMBDA = (0.10, 0.20)
 
 
+def _call(job):
+    """Run job, a picklable zero-argument callable (a worker's task)."""
+    return job()
+
+
 def cmd_table1(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
     out = _Output(args, "table1", params, N=args.N, L=args.L, literal_pl_exponent=args.literal_pl_exponent)
     cells = [
-        (mu0, mu1, sigma, lam)
+        replace(params, mu0=mu0, mu1=mu1, sigma=sigma, lam=lam)
         for lam in TABLE1_LAMBDA
         for sigma in TABLE1_SIGMA
         for mu0 in TABLE1_MU0
         for mu1 in TABLE1_MU1
     ]
     literal = args.literal_pl_exponent
-    jobs = [
-        (replace(params, mu0=mu0, mu1=mu1, sigma=sigma, lam=lam), args.N, args.L, literal, True)
-        for mu0, mu1, sigma, lam in cells
-    ]
+    groups: dict[ModelParams, list[int]] = {}
+    for i, cell in enumerate(cells):
+        groups.setdefault(replace(cell, mu0=0.0, mu1=0.0, lam=0.0), []).append(i)
+    # The insiders of the cells that share a lattice are one job, listed just
+    # before the outsider job of the first of those cells.
+    first = {members[0]: members for members in groups.values()}
+    jobs = []
+    for i, cell in enumerate(cells):
+        if i in first:
+            jobs.append(functools.partial(price_full_roots, [cells[j] for j in first[i]], args.N, literal))
+        jobs.append(functools.partial(_roots, (cell, args.N, args.L, literal, False)))
+    results = ordered_map(_call, jobs)
     rows = []
     print(f"{'mu0':>5} {'mu1':>5} {'sigma':>6} {'lambda':>6}   {'v0':>7} {'v1':>7} {'u(0)':>7} {'u(0.5)':>7}")
-    for (mu0, mu1, sigma, lam), (v0, v1, u0, u05) in zip(cells, ordered_map(_roots, jobs)):
-        rows.append((mu0, mu1, sigma, lam, v0, v1, u0, u05))
+    insiders = {}
+    for i, cell in enumerate(cells):
+        if i in first:
+            insiders.update(zip(first[i], next(results)))
+        insider = insiders.pop(i)
+        if isinstance(insider, Exception):
+            raise insider
+        (v0, v1), (u0, u05) = insider, next(results)
+        rows.append((cell.mu0, cell.mu1, cell.sigma, cell.lam, v0, v1, u0, u05))
         print(
-            f"{mu0:>5.0%} {mu1:>5.0%} {sigma:>6.0%} {lam:>6.0%}   "
+            f"{cell.mu0:>5.0%} {cell.mu1:>5.0%} {cell.sigma:>6.0%} {cell.lam:>6.0%}   "
             f"{v0:>7.1f} {v1:>7.1f} {u0:>7.1f} {u05:>7.1f}"
         )
     out.write_csv(

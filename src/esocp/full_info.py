@@ -1,7 +1,8 @@
 """Full-information pricer: the insider observes the drift regime directly.
 
 Backward induction runs jointly over two value trees, one per regime, coupled
-through the switching chain.  Exercise boundaries are read off slice by slice
+through the switching chain; runs that share a lattice can be swept together,
+two trees each.  Exercise boundaries are read off slice by slice
 as the smallest in-the-money node price where stopping beats continuing.
 """
 
@@ -14,6 +15,7 @@ import numpy as np
 
 from .lattice import (
     Lattice,
+    NonFiniteResultError,
     QMatrix,
     RegimeReturnProbs,
     build_lattice,
@@ -22,7 +24,7 @@ from .lattice import (
     transition_matrix,
 )
 from .model import ModelParams
-from .sweep import backward_sweep
+from .sweep import SweepResult, backward_sweep
 
 # A node counts as exercised when intrinsic >= continuation - TIE_TOL*max(1, intrinsic),
 # so boundary extraction is deterministic under floating-point ties.
@@ -70,6 +72,66 @@ class FullInfoResult:
         return b
 
 
+def _sweep_runs(
+    lattice: Lattice, params: ModelParams, qs: list[QMatrix], ps: list[RegimeReturnProbs], keep_boundaries: bool
+) -> SweepResult:
+    """One active-window sweep over the regime trees of C runs on ``lattice``.
+
+    The runs share the lattice, ``params``' strike and ``params``' rate; run c
+    brings its switching chain qs[c] and move probabilities ps[c].  Its two
+    regime rows are layers 2c (high drift) and 2c + 1 (low drift).
+    """
+    disc = exp(-params.r * lattice.h)
+    up_probs = np.array([(p.p_up0, p.p_up1) for p in ps]).reshape(-1, 1)
+    dw_probs = np.array([(p.p_dw0, p.p_dw1) for p in ps]).reshape(-1, 1)
+    mix = np.array([(q.q00, q.q01) for q in qs]).reshape(-1, 1)
+    n_layers = up_probs.shape[0]
+    # w <= N + 1; only the pages of the columns used are touched
+    work = np.empty((2, n_layers, lattice.n_steps + 1))
+    pair = np.arange(n_layers) // 2 * 2  # the first layer of each layer's run
+    blocks = {}  # layers -> the runs' rows [a, b) they cut into, their weights, their rows in [a, b)
+
+    def continuation(children: np.ndarray, out: np.ndarray, layers: tuple[int, int]) -> None:
+        # Each run's two rows run the same operations as
+        #   up1 = p_up1 * v1[1:] + p_dw1 * v1[:-1]
+        #   cont0 = disc * (q00 * (p_up0 * v0[1:] + p_dw0 * v0[:-1]) + q01 * up1)
+        #   cont1 = disc * up1
+        # on the stacked rows [a, b) of the runs that ``layers`` reaches into:
+        # in place in ``out`` when it holds whole runs, else in ``work``,
+        # keeping the rows asked for.
+        block = blocks.get(layers)
+        if block is None:
+            r0, r1 = layers
+            a, b = r0 - r0 % 2, r1 + r1 % 2
+            rows = None if (a, b) == layers else slice(r0 - a, r1 - a)
+            block = blocks[layers] = a, b, up_probs[a:b], dw_probs[a:b], mix[a:b], rows
+        a, b, up, dw, q, rows = block
+        w = out.shape[1]
+        tmp = work[0, : b - a, :w]
+        sums = out if rows is None else work[1, : b - a, :w]
+        np.multiply(up, children[a:b, 1:], out=sums)
+        np.multiply(dw, children[a:b, :-1], out=tmp)
+        sums += tmp
+        np.multiply(q, sums, out=tmp)
+        np.add(tmp[0::2], tmp[1::2], out=sums[0::2])
+        if rows is not None:
+            out[...] = sums[rows]
+        out *= disc
+
+    sure_up = [(q.q00 * p.p_up0 + q.q01 * p.p_up1, p.p_up1) for q, p in zip(qs, ps)]
+    sure_dw = [(q.q00 * p.p_dw0 + q.q01 * p.p_dw1, p.p_dw1) for q, p in zip(qs, ps)]
+    return backward_sweep(
+        lattice,
+        params.strike,
+        disc,
+        np.array(sure_up).ravel(),
+        np.array(sure_dw).ravel(),
+        continuation,
+        child_rows=(pair, pair + 2),
+        thresholds=first_exercise_prices if keep_boundaries else None,
+    )
+
+
 def price_full(
     params: ModelParams,
     n_steps: int,
@@ -86,41 +148,7 @@ def price_full(
     lattice = build_lattice(params, n_steps)
     q = transition_matrix(params.lam, lattice.h)
     p = regime_return_probs(params, lattice, literal_exponent)
-    disc = exp(-params.r * lattice.h)
-
-    up_probs = np.array([[p.p_up0], [p.p_up1]])
-    dw_probs = np.array([[p.p_dw0], [p.p_dw1]])
-    mix = np.array([[q.q00], [q.q01]])
-    work = np.empty((4, n_steps + 1))  # w <= N + 1; only the pages of the columns used are touched
-
-    def continuation(children: np.ndarray, out: np.ndarray, layers: tuple[int, int]) -> None:
-        # The regime rows of ``layers``, the same operations as
-        #   up1 = p_up1 * v1[1:] + p_dw1 * v1[:-1]
-        #   cont0 = disc * (q00 * (p_up0 * v0[1:] + p_dw0 * v0[:-1]) + q01 * up1)
-        #   cont1 = disc * up1
-        # Both sums at once on stacked (2, w) arrays, also when only one
-        # regime row is asked for.
-        w = out.shape[1]
-        tmp, sums = work[:2, :w], out if layers == (0, 2) else work[2:, :w]
-        np.multiply(up_probs, children[:, 1:], out=sums)
-        np.multiply(dw_probs, children[:, :-1], out=tmp)
-        sums += tmp
-        if layers[0] == 0:
-            np.multiply(mix, sums, out=tmp)
-            np.add(tmp[0], tmp[1], out=out[0])
-        else:
-            out[0] = sums[1]
-        out *= disc
-
-    run = backward_sweep(
-        lattice,
-        params.strike,
-        disc,
-        np.array([q.q00 * p.p_up0 + q.q01 * p.p_up1, p.p_up1]),
-        np.array([q.q00 * p.p_dw0 + q.q01 * p.p_dw1, p.p_dw1]),
-        continuation,
-        thresholds=first_exercise_prices if keep_boundaries else None,
-    )
+    run = _sweep_runs(lattice, params, [q], [p], keep_boundaries)
     v0_root, v1_root = (float(v) for v in run.root)
     check_finite("full-information root value", (v0_root, v1_root))
 
@@ -139,6 +167,49 @@ def price_full(
         p=p,
         node_steps=run.node_steps,
     )
+
+
+def price_full_roots(
+    runs: list[ModelParams], n_steps: int, literal_exponent: bool = False
+) -> list[tuple[float, float] | ValueError]:
+    """The (v0, v1) roots of full-information runs on one lattice, in one sweep.
+
+    The runs must share sigma, maturity, spot (the lattice), strike and r;
+    mu0, mu1 and lam may differ.  Each run's roots are bit for bit those of
+    ``price_full``: a sweep's values do not depend on its window, so the wider
+    window the runs share changes none of them.  A run that ``price_full`` rejects (inadmissible probabilities, a root that
+    is not finite) gets the error ``price_full`` raises in place of its roots,
+    and the other runs are priced as if it were not there.
+    """
+    if len({(p.sigma, p.maturity, p.spot, p.strike, p.r) for p in runs}) > 1:
+        raise ValueError("the runs of a group must share sigma, maturity, spot, strike and r")
+    if not runs:
+        return []
+    lattice = build_lattice(runs[0], n_steps)
+    outcomes: list = []
+    for params in runs:
+        try:
+            q = transition_matrix(params.lam, lattice.h)
+            outcomes.append((q, regime_return_probs(params, lattice, literal_exponent)))
+        except ValueError as exc:
+            outcomes.append(exc)
+    priced = [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, ValueError)]
+    if priced:
+        qs, ps = zip(*(outcomes[i] for i in priced))
+        root = _sweep_runs(lattice, runs[0], qs, ps, keep_boundaries=False).root
+        for c, i in enumerate(priced):
+            outcomes[i] = float(root[2 * c]), float(root[2 * c + 1])
+            if not np.all(np.isfinite(outcomes[i])):
+                # A run's rows can differ from price_full's only where node
+                # prices overflow: the shared window may sweep nodes that the
+                # run's own window takes as exercised, and then the run's root
+                # is not finite.  Price such a run on its own.
+                try:
+                    full = price_full(runs[i], n_steps, literal_exponent, keep_boundaries=False)
+                    outcomes[i] = full.v0_root, full.v1_root
+                except NonFiniteResultError as exc:
+                    outcomes[i] = exc
+    return outcomes
 
 
 def price_european_reference(

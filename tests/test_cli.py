@@ -215,13 +215,56 @@ def test_ordered_map_runs_items_in_worker_processes_in_order():
 def test_worker_error_keeps_exit_code_and_message(capsys, monkeypatch, cpus):
     if cpus == "one":
         one_cpu(monkeypatch)
+    header = ["mu0", "mu1", "sigma", "lambda", "v0", "v1", "u(0)", "u(0.5)"]
     # the first cell of the grid is BASE with sigma = 20%
     with pytest.raises(AdmissibilityError) as expected:
         price_full(replace(BASE, sigma=0.2, maturity=100.0), 1)
     code, out, err = run(capsys, "table1", "--N", "1", "--maturity", "100")
     assert code == 1
     assert err == f"error: {expected.value}\n"
-    assert out.splitlines()[-1].split() == ["mu0", "mu1", "sigma", "lambda", "v0", "v1", "u(0)", "u(0.5)"]
+    assert out.splitlines()[-1].split() == header
+
+    # at N=5 the seventh cell (mu0 = 18%) is the first inadmissible one: the
+    # six rows before it come out, each priced as on its own, then its error
+    cells = [replace(BASE, mu0=mu0, mu1=mu1, sigma=0.2) for mu0 in (0.02, 0.08) for mu1 in (-0.02, -0.05, -0.10)]
+    with pytest.raises(AdmissibilityError) as expected:
+        price_full(replace(BASE, mu0=0.18, sigma=0.2), 5)
+    code, out, err = run(capsys, "table1", "--N", "5", "--L", "3", "--maturity", "10")
+    assert code == 1
+    assert err == f"error: {expected.value}\n"
+    lines = out.splitlines()
+    assert lines[-7].split() == header
+    for line, cell in zip(lines[-6:], cells):
+        v0, v1, u0, u05 = in_process_roots(cell, 5, 3)
+        assert line == (
+            f"{cell.mu0:>5.0%} {cell.mu1:>5.0%} {cell.sigma:>6.0%} {cell.lam:>6.0%}   "
+            f"{v0:>7.1f} {v1:>7.1f} {u0:>7.1f} {u05:>7.1f}"
+        )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["price-full", "--N", "0"], "--N must be >= 1, got 0"),
+        (["surface", "--N", "10", "--L", "1"], "--L must be >= 2, got 1"),
+        (["converge", "--N-list", "20", "-3", "--L-list", "3"], "--N-list must be >= 1, got -3"),
+        (["converge", "--N-list", "20", "--L-list", "3", "1"], "--L-list must be >= 2, got 1"),
+        (["simulate", "--N", "20", "--L", "3", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    ],
+    ids=["N", "L", "N-list", "L-list", "seed"],
+)
+def test_bad_sizes_are_usage_errors_before_the_manifest(tmp_path, capsys, monkeypatch, argv, message):
+    def no_pricing(*args, **kwargs):
+        raise AssertionError("priced before validating the sizes")
+
+    monkeypatch.setattr(cli, "price_full", no_pricing)
+    monkeypatch.setattr(cli, "price_partial", no_pricing)
+    monkeypatch.setattr(cli, "_roots", no_pricing)
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert out == ""
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["price-partial", "simulate"])

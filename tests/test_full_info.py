@@ -3,8 +3,19 @@ from math import inf, log
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from esocp import build_lattice, price_european_reference, price_full
+from esocp import (
+    AdmissibilityError,
+    NonFiniteResultError,
+    _workers,
+    build_lattice,
+    price_european_reference,
+    price_full,
+    price_full_roots,
+    sweep,
+)
 from esocp.full_info import EXERCISE_TIE_TOL, first_exercise_prices
 
 from conftest import BASE
@@ -156,3 +167,94 @@ def test_first_exercise_prices_match_the_masked_scan():
         got = first_exercise_prices(prices, strike, intrinsic, continuation)
         assert np.array_equal(got, want), (prices, continuation)
         assert type(got) is type(want)
+
+
+# -- runs that share a lattice, priced in one sweep ---------------------------
+
+
+def alone(params, n, literal_exponent=False):
+    """price_full's roots of one run, or the error it raises."""
+    try:
+        result = price_full(params, n, literal_exponent=literal_exponent, keep_boundaries=False)
+    except ValueError as exc:
+        return exc
+    return result.v0_root, result.v1_root
+
+
+def assert_same_outcomes(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, Exception):
+            assert (type(g), str(g)) == (type(w), str(w))
+        else:
+            assert g == w  # bit for bit
+
+
+LATTICES = (BASE, replace(BASE, sigma=0.2, spot=80.0), replace(BASE, r=0.0, strike=120.0, maturity=3.0))
+# mu0 above r or not, inadmissible drifts at small N, lam = 0 (no switch)
+RUN = st.tuples(st.floats(-0.4, 0.4), st.floats(-0.4, 0.1), st.just(0.0) | st.floats(0.0, 3.0))
+
+
+def group_of(lattice, drifts):
+    return [replace(lattice, mu0=mu0, mu1=mu1, lam=lam) for mu0, mu1, lam in drifts]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lattice=st.sampled_from(LATTICES),
+    drifts=st.lists(RUN, min_size=1, max_size=6),
+    n=st.integers(1, 200),
+    literal=st.booleans(),
+)
+def test_group_roots_equal_price_full_bit_for_bit(lattice, drifts, n, literal):
+    runs = group_of(lattice, drifts)
+    got = price_full_roots(runs, n, literal_exponent=literal)
+    assert_same_outcomes(got, [alone(p, n, literal) for p in runs])
+
+
+@pytest.mark.skipif(_workers.usable_cpus() < 2, reason="one usable CPU")
+@settings(max_examples=20, deadline=None)
+@given(
+    lattice=st.sampled_from(LATTICES),
+    drifts=st.sampled_from([1, 3, 5]).flatmap(lambda c: st.lists(RUN, min_size=c, max_size=c)),
+    n=st.integers(1, 200),
+)
+def test_group_roots_under_a_split_that_cuts_a_run(lattice, drifts, n):
+    runs = group_of(lattice, drifts)
+    want = [alone(p, n) for p in runs]
+    priced = sum(not isinstance(w, AdmissibilityError) for w in want)
+    assume(priced % 2 == 1)  # layers [0, C) and [C, 2C): run C // 2 is cut
+    splits, real = [], sweep._split
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweep, "SPLIT_MIN_ENTRIES", -1)
+        mp.setattr(sweep, "_split", lambda run: splits.append(run.n_layers) or real(run))
+        got = price_full_roots(runs, n)
+    assert_same_outcomes(got, want)
+    assert splits[0] == 2 * priced
+
+
+def test_group_with_the_overflow_run_raises_or_returns_as_each_alone():
+    # The overflow run (mu0 above r, so no sure-exercise region) widens the
+    # shared window to nodes priced inf, where the others' own windows stop.
+    overflow = replace(BASE, sigma=2.0, maturity=100.0, mu0=0.08, lam=0.0)
+    runs = [
+        replace(overflow, mu0=-0.5, mu1=-0.6, lam=0.1),
+        overflow,
+        replace(overflow, mu0=-1.0, mu1=-1.5),
+        replace(overflow, mu0=3.0),
+        replace(overflow, mu0=0.0, mu1=-0.02, lam=0.3),
+    ]
+    with np.errstate(all="ignore"):
+        want = [alone(p, 1500) for p in runs]
+        got = price_full_roots(runs, 1500)
+    assert [isinstance(w, NonFiniteResultError) for w in want] == [False, True, False, True, False]
+    assert_same_outcomes(got, want)
+
+
+def test_group_must_share_the_lattice_strike_and_rate():
+    for other in (dict(sigma=0.2), dict(maturity=5.0), dict(spot=90.0), dict(strike=90.0), dict(r=0.0)):
+        with pytest.raises(ValueError, match="must share"):
+            price_full_roots([BASE, replace(BASE, mu0=0.05, **other)], 50)
+    assert price_full_roots([], 50) == []
+    # y0 is not the insider's: runs may differ in it
+    assert price_full_roots([BASE, replace(BASE, y0=0.5)], 50) == [alone(BASE, 50)] * 2

@@ -15,6 +15,7 @@ from esocp import (
     partial_info,
     price_european_reference,
     price_full,
+    price_full_roots,
     price_partial,
     sweep,
 )
@@ -76,7 +77,12 @@ def test_long_horizon_insider_matches_full_width(split, request):
     assert (got.v0_root, got.v1_root) == (want["v0_root"], want["v1_root"])
     assert np.array_equal(got.boundary0, want["boundary0"])
     assert np.array_equal(got.boundary1, want["boundary1"])
-    assert splits == ([LONG_HORIZON_N] if split else [])
+    # The same run in the middle of a group of three, whose first run never
+    # exercises early (mu0 > r) and so widens the shared window to every node:
+    # a split at layer 3 cuts the run's two regime rows apart.
+    runs = [replace(LONG_HORIZON, mu0=0.05), LONG_HORIZON, replace(LONG_HORIZON, lam=0.0)]
+    assert price_full_roots(runs, LONG_HORIZON_N)[1] == (want["v0_root"], want["v1_root"])
+    assert splits == ([LONG_HORIZON_N, LONG_HORIZON_N] if split else [])
 
 
 def scan_exercised_from(values, intrinsic):
