@@ -177,9 +177,10 @@ def price_full_roots(
     The runs must share sigma, maturity, spot (the lattice), strike and r;
     mu0, mu1 and lam may differ.  Each run's roots are bit for bit those of
     ``price_full``: a sweep's values do not depend on its window, so the wider
-    window the runs share changes none of them.  A run that ``price_full`` rejects (inadmissible probabilities, a root that
-    is not finite) gets the error ``price_full`` raises in place of its roots,
-    and the other runs are priced as if it were not there.
+    window the runs share changes none of them.  A run that ``price_full``
+    rejects (inadmissible probabilities, a root that is not finite) gets the
+    error ``price_full`` raises in place of its roots, and the other runs are
+    priced as if it were not there.
     """
     if len({(p.sigma, p.maturity, p.spot, p.strike, p.r) for p in runs}) > 1:
         raise ValueError("the runs of a group must share sigma, maturity, spot, strike and r")

@@ -39,6 +39,16 @@ layers [L//2, L), both writing one window in shared memory and each copying
 only the child rows its layers read.  Each extracts the thresholds of its
 own layers, so the step's threshold row is the disjoint union of the two.
 The layers of a step are independent, so the split changes no bit either.
+
+The whole sweep, in both processes, runs with numpy's ufunc buffer at
+UFUNC_BUFFER elements, far below numpy's default of 8,192; the caller's size
+comes back when the sweep returns or raises.  A per-layer weight column
+broadcast over a block of window rows, or a product written into a strided
+view of the child rows, is not one flat loop: where the buffer is longer
+than a window row, numpy copies the operands through it, and where a row
+fills the buffer it runs over the operands in place.  The buffer is set once
+per sweep: setting it per step costs microseconds on each of up to tens of
+thousands of steps, and the replay's long rows run slower with a small one.
 """
 
 from __future__ import annotations
@@ -77,6 +87,17 @@ SPLIT_MIN_ENTRIES = 50_000
 # that the other process is still alive.
 SPIN_S = 0.025
 POLL_S = 0.05
+
+# numpy's ufunc buffer during a sweep, in elements (numpy 1.24 takes only
+# multiples of 16).  On that guest with numpy 2.4.6, `x *= col` over a
+# (36, 900) block took 0.75 ns an entry with the default 8,192 and 0.38 with
+# 256, and a (36, 1) column times a strided child view 1.42 against 0.39; a
+# contiguous multiply took the same with either.  In 10 interleaved rounds on
+# one CPU, buffers of 8,192 / 256 / 128 gave medians of 2.91 / 2.36 / 2.27 s
+# for price_partial at N=2500, L=250, 5.15 / 5.01 / 4.56 s for table1 at
+# N=500, L=101 and 1.18 / 1.17 / 1.25 s for the 100-year insider at N=25,000;
+# 128 beat 256 in only 4, 6 and 4 of the rounds.
+UFUNC_BUFFER = 256
 
 
 @dataclass(frozen=True)
@@ -455,7 +476,23 @@ def backward_sweep(
     Sweeps with more than SPLIT_MIN_ENTRIES entries in their widest window
     are shared with a forked helper process where ``_workers.can_fork()``.
     """
-    sweep = _Sweep(lattice, strike, disc, p_up, p_dw, continuation, child_rows, thresholds, keep_slice_at)
-    if sweep.n_layers * sweep.widest() > SPLIT_MIN_ENTRIES and _workers.can_fork():
-        return _split(sweep)
-    return sweep.run()
+    # Overflow runs silently: a non-finite value it leaves reaches the root,
+    # where the pricers' check_finite raises.  A nan is neither 0 nor any
+    # intrinsic value, so no trim drops its column, and the next window always
+    # sweeps a node's lower parent, whose continuation is then nan as well
+    # (0 * inf is nan, too).  An inf does the same, unless it is the intrinsic
+    # value of a price beyond the float range, which parents read from the
+    # ladder just as they read any exercised node.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # numpy >= 2 would restore the buffer size with the error state; 1.24
+        # does not.
+        callers = np.setbufsize(UFUNC_BUFFER)
+        try:
+            sweep = _Sweep(
+                lattice, strike, disc, p_up, p_dw, continuation, child_rows, thresholds, keep_slice_at
+            )
+            if sweep.n_layers * sweep.widest() > SPLIT_MIN_ENTRIES and _workers.can_fork():
+                return _split(sweep)
+            return sweep.run()
+        finally:
+            np.setbufsize(callers)

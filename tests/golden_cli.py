@@ -41,6 +41,8 @@ CASES = {
     "boundary": ["boundary", "--N", "120"],
     "boundary-smooth": ["boundary", "--N", "120", "--smooth"],
     "surface": ["surface", "--N", "60", "--L", "11"],
+    # windows up to 410 nodes wide, wider than the sweep's ufunc buffer
+    "surface-wide": ["surface", "--N", "1500", "--L", "101"],
     "perpetual": ["perpetual", "--x-points", "11"],
     "perpetual-no-boundary": ["perpetual", "--mu0", "8%", "--mu1", "5%"],
     "simulate": ["simulate", "--N", "60", "--L", "11", "--paths", "3000"],

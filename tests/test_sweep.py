@@ -3,6 +3,7 @@ split across two, work counts and the non-finite guard."""
 
 import os
 import signal
+import warnings
 from dataclasses import replace
 from functools import cache
 
@@ -69,11 +70,17 @@ LONG_HORIZON = replace(BASE, maturity=100.0)
 LONG_HORIZON_N = 4000
 
 
+@pytest.mark.parametrize("bufsize", [16, 8192])  # the caller's ufunc buffer
 @pytest.mark.parametrize("split", [False, True], ids=["one process", "split"])
-def test_long_horizon_insider_matches_full_width(split, request):
+def test_long_horizon_insider_matches_full_width(split, bufsize, request):
     splits = request.getfixturevalue("forced_split") if split else []
-    want = full_width_price_full(LONG_HORIZON, LONG_HORIZON_N)
-    got = price_full(LONG_HORIZON, LONG_HORIZON_N)
+    callers = np.setbufsize(bufsize)
+    try:
+        want = full_width_price_full(LONG_HORIZON, LONG_HORIZON_N)
+        got = price_full(LONG_HORIZON, LONG_HORIZON_N)
+        assert np.getbufsize() == bufsize
+    finally:
+        np.setbufsize(callers)
     assert (got.v0_root, got.v1_root) == (want["v0_root"], want["v1_root"])
     assert np.array_equal(got.boundary0, want["boundary0"])
     assert np.array_equal(got.boundary1, want["boundary1"])
@@ -132,11 +139,15 @@ def test_node_steps_below_full_triangle():
 
 
 def test_overflowing_lattice_raises():
-    with np.errstate(all="ignore"):
+    # The sweeps overflow silently and the root check raises; the European
+    # reference runs outside any sweep, with numpy's warnings.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(NonFiniteResultError):
             price_full(OVERFLOW, OVERFLOW_N)
         with pytest.raises(NonFiniteResultError):
             price_partial(OVERFLOW, OVERFLOW_N, 5)
+    with np.errstate(all="ignore"):
         with pytest.raises(NonFiniteResultError):
             price_european_reference(OVERFLOW, OVERFLOW_N, regime=0)
         with pytest.raises(NonFiniteResultError):
@@ -403,4 +414,26 @@ def test_dead_helper_raises_instead_of_hanging(forced_split, deadline, monkeypat
     misbehave_at(monkeypatch, 30, "helper", lambda: os._exit(3))
     with pytest.raises(ChildProcessError, match="died"):
         price_partial(BASE, 60, N_BELIEF)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["one process", "split"])
+def test_sweep_restores_the_callers_numpy_state(split, deadline, monkeypatch, request):
+    splits = request.getfixturevalue("forced_split") if split else []
+    seen = []
+    misbehave_at(monkeypatch, 30, "parent", lambda: seen.append((np.getbufsize(), np.geterr())))
+    callers = np.setbufsize(1024)
+    try:
+        with np.errstate(all="raise", under="print"):
+            state = np.getbufsize(), np.geterr()
+            price_partial(BASE, 60, N_BELIEF)
+            assert (np.getbufsize(), np.geterr()) == state
+            misbehave_at(monkeypatch, 30, "parent", fail)
+            with pytest.raises(ValueError, match="layer update failed on this half"):
+                price_partial(BASE, 60, N_BELIEF)
+            assert (np.getbufsize(), np.geterr()) == state
+    finally:
+        np.setbufsize(callers)
+    assert seen == [(sweep.UFUNC_BUFFER, {**state[1], "over": "ignore", "invalid": "ignore"})]
+    assert splits == ([60, 60] if split else [])
     assert_no_child_left()
