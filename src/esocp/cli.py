@@ -83,9 +83,12 @@ class UsageError(Exception):
 
 
 def _check_sizes(args: argparse.Namespace) -> None:
-    """Path counts, lattice sizes (--N, --L and their lists) and --seed out of
-    range are usage errors."""
-    bounds = (("paths", 1), ("export_paths", 0), ("N", 1), ("L", 2), ("N_list", 1), ("L_list", 2), ("seed", 0))
+    """Path counts, lattice sizes (--N, --L and their lists), --seed,
+    --x-points and --smooth-degree out of range are usage errors."""
+    bounds = (
+        ("paths", 1), ("export_paths", 0), ("N", 1), ("L", 2), ("N_list", 1), ("L_list", 2), ("seed", 0),
+        ("x_points", 1), ("smooth_degree", 0),
+    )
     for dest, minimum in bounds:
         values = getattr(args, dest, None)
         for value in values if isinstance(values, list) else [values]:

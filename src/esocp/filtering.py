@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import QMatrix, RegimeReturnProbs
-from .model import ModelParams
+from .model import ModelParams, derived
 
 # A belief that lands within this fraction of a grid cell of a grid point is
 # snapped to it (bracket collapses, weight 0) when the grid is read.
@@ -33,7 +33,7 @@ def predict_return_prob(y, q: QMatrix, p: RegimeReturnProbs, up: bool):
     """
     p0, p1 = (p.p_up0, p.p_up1) if up else (p.p_dw0, p.p_dw1)
     y = np.asarray(y)
-    out = p0 * (q.q00 * (1.0 - y) + q.q10 * y) + p1 * (q.q01 * (1.0 - y) + q.q11 * y)
+    out = p0 * (q.q00 * (1.0 - y)) + p1 * (q.q01 * (1.0 - y) + y)
     return out if out.ndim else float(out)
 
 
@@ -46,8 +46,8 @@ def update_belief(y, up: bool, q: QMatrix, p: RegimeReturnProbs):
     """
     p0, p1 = (p.p_up0, p.p_up1) if up else (p.p_dw0, p.p_dw1)
     y = np.asarray(y)
-    favour = p1 * (q.q01 * (1.0 - y) + q.q11 * y)
-    denom = p0 * (q.q00 * (1.0 - y) + q.q10 * y) + favour
+    favour = p1 * (q.q01 * (1.0 - y) + y)
+    denom = p0 * (q.q00 * (1.0 - y)) + favour
     if np.any(denom <= 0.0):
         raise ValueError("predicted move probability vanished; inputs are inadmissible")
     out = favour / denom
@@ -56,17 +56,15 @@ def update_belief(y, up: bool, q: QMatrix, p: RegimeReturnProbs):
 
 @dataclass(frozen=True)
 class FilterGrid:
-    """Equidistant belief grid with precomputed posterior targets and brackets.
+    """Equidistant belief grid with the brackets of its posteriors precomputed.
 
-    For each grid belief and each move, ``y_up``/``y_dw`` hold the Bayes
-    posterior, ``*_lo``/``*_hi`` the indices of the bracketing grid points
-    (equal on an exact hit) and ``w_*`` the linear interpolation weight toward
-    the hi point.  Built once per pricing run.
+    For each grid belief and each move, ``*_lo``/``*_hi`` hold the indices of
+    the grid points that bracket its Bayes posterior (equal on an exact hit)
+    and ``w_*`` the linear interpolation weight toward the hi point.  Built
+    once per pricing run.
     """
 
     points: np.ndarray  # (L,) beliefs, 0 = points[0] < ... < points[-1] = 1
-    y_up: np.ndarray
-    y_dw: np.ndarray
     up_lo: np.ndarray
     up_hi: np.ndarray
     w_up: np.ndarray
@@ -105,18 +103,14 @@ def build_grid(n_points: int, q: QMatrix, p: RegimeReturnProbs) -> FilterGrid:
     if n_points < 2:
         raise ValueError(f"belief grid needs at least 2 points, got {n_points}")
     points = np.linspace(0.0, 1.0, n_points)
-    y_up = np.asarray(update_belief(points, True, q, p))
-    y_dw = np.asarray(update_belief(points, False, q, p))
     # The posterior targets collapse only on an exact hit (y = 1 always, y = 0
     # without switching).  Snapping a posterior that is merely close, such as
     # 1.4e-10 at a switching intensity of 1e-9, would drop the switch and
     # could lift the grid value above the insider's.
-    up_lo, up_hi, w_up = _bracket(y_up, n_points, tol=0.0)
-    dw_lo, dw_hi, w_dw = _bracket(y_dw, n_points, tol=0.0)
+    up_lo, up_hi, w_up = _bracket(update_belief(points, True, q, p), n_points, tol=0.0)
+    dw_lo, dw_hi, w_dw = _bracket(update_belief(points, False, q, p), n_points, tol=0.0)
     return FilterGrid(
         points=points,
-        y_up=y_up,
-        y_dw=y_dw,
         up_lo=up_lo,
         up_hi=up_hi,
         w_up=w_up,
@@ -146,7 +140,7 @@ def likelihood_ratio_quadrature(
         raise ValueError(f"dt must be positive, got {dt}")
     if params.y0 >= 1.0:
         raise ValueError("y0 = 1 gives an infinite initial likelihood ratio")
-    eta = params.derived.eta
+    eta = derived(params).eta
     lam = params.lam
     phi0 = params.y0 / (1.0 - params.y0)
 

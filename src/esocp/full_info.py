@@ -62,9 +62,6 @@ class FullInfoResult:
     p: RegimeReturnProbs
     node_steps: int = 0  # layer-node updates the sweep performed (2 layers: the regimes)
 
-    def root(self, regime: int) -> float:
-        return self.v0_root if regime == 0 else self.v1_root
-
     def boundary(self, regime: int) -> np.ndarray:
         b = self.boundary0 if regime == 0 else self.boundary1
         if b is None:

@@ -57,12 +57,13 @@ class Lattice:
 
 @dataclass(frozen=True)
 class QMatrix:
-    """One-step regime transition probabilities; state 1 is absorbing."""
+    """One-step regime transition probabilities from the high-drift state 0.
+
+    State 1 is absorbing (q10 = 0, q11 = 1), so only row 0 is stored.
+    """
 
     q00: float
     q01: float
-    q10: float
-    q11: float
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,6 @@ class RegimeReturnProbs:
     p_dw0: float
     p_up1: float
     p_dw1: float
-    literal_exponent: bool = False  # True: growth exponent mu*sqrt(h) instead of mu*h
 
 
 def build_lattice(params: ModelParams, n_steps: int) -> Lattice:
@@ -90,14 +90,7 @@ def transition_matrix(lam: float, h: float) -> QMatrix:
     if h <= 0.0:
         raise ValueError(f"step length must be positive, got {h}")
     q00 = exp(-lam * h)
-    return QMatrix(q00=q00, q01=1.0 - q00, q10=0.0, q11=1.0)
-
-
-def _up_probability(mu: float, sigma: float, h: float, literal_exponent: bool) -> float:
-    grow = exp(mu * sqrt(h)) if literal_exponent else exp(mu * h)
-    up = exp(sigma * sqrt(h))
-    dw = 1.0 / up
-    return (grow - dw) / (up - dw)
+    return QMatrix(q00=q00, q01=1.0 - q00)
 
 
 def _max_admissible_h(mu: float, sigma: float, literal_exponent: bool) -> float:
@@ -121,7 +114,8 @@ def regime_return_probs(
     """
     probs = []
     for regime, mu in ((0, params.mu0), (1, params.mu1)):
-        p = _up_probability(mu, params.sigma, lattice.h, literal_exponent)
+        grow = exp(mu * sqrt(lattice.h)) if literal_exponent else exp(mu * lattice.h)
+        p = (grow - lattice.dw) / (lattice.up - lattice.dw)
         if not 0.0 < p < 1.0:
             h_max = _max_admissible_h(mu, params.sigma, literal_exponent)
             raise AdmissibilityError(
@@ -134,5 +128,4 @@ def regime_return_probs(
         p_dw0=1.0 - probs[0],
         p_up1=probs[1],
         p_dw1=1.0 - probs[1],
-        literal_exponent=literal_exponent,
     )

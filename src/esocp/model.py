@@ -29,10 +29,6 @@ class ModelParams:
     spot: float  # initial stock price
     y0: float = 0.0  # prior probability that the low-drift regime is already active
 
-    @property
-    def derived(self) -> DerivedConstants:
-        return derived(self)
-
 
 @dataclass(frozen=True)
 class DerivedConstants:

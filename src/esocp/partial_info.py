@@ -41,8 +41,6 @@ ROW_BLOCK_ELEMENTS = 32768
 
 @dataclass(frozen=True)
 class PartialInfoResult:
-    root: float  # value at the root, interpolated at the requested y0
-    y0: float
     root_layers: np.ndarray  # (L,) root values per belief grid point
     params: ModelParams
     lattice: Lattice
@@ -50,9 +48,8 @@ class PartialInfoResult:
     p: RegimeReturnProbs
     grid: FilterGrid
     surface: np.ndarray | None = None  # (N+1, L) exercise thresholds, +inf allowed
-    slice_step: int | None = None  # step whose value slice was retained
-    slice_values: np.ndarray | None = None  # (L, slice_step+1) values at that step
-    slice_continuation: np.ndarray | None = None  # (L, slice_step+1) continuations
+    slice_values: np.ndarray | None = None  # (L, k+1) values at the step k = keep_slice_at
+    slice_continuation: np.ndarray | None = None  # (L, k+1) continuations there
     node_steps: int = 0  # layer-node updates the sweep performed
 
     def root_at(self, y0) -> float | np.ndarray:
@@ -68,7 +65,6 @@ def price_partial(
     params: ModelParams,
     n_steps: int,
     n_belief: int,
-    y0: float | None = None,
     literal_exponent: bool = False,
     keep_surface: bool = False,
     keep_slice_at: int | None = None,
@@ -81,14 +77,11 @@ def price_partial(
 
     where Uup/Udw interpolate the next slice at the Bayes posteriors of grid
     belief l after an up/down move, and the terminal slice is (x-K)+ for all
-    layers.  The root is interpolated at y0 across the layer values at (0,0).
-    Only nodes whose value is not known exactly are swept (see ``sweep``);
-    the step ``keep_slice_at`` is swept at full width and retained.
+    layers.  The result keeps the L layer values at (0,0), which ``root_at``
+    interpolates at any initial belief.  Only nodes whose value is not known
+    exactly are swept (see ``sweep``); the step ``keep_slice_at`` is swept at
+    full width and retained.
     """
-    if y0 is None:
-        y0 = params.y0
-    if not 0.0 <= y0 <= 1.0:
-        raise ValueError(f"y0 must lie in [0, 1], got {y0}")
     lattice = build_lattice(params, n_steps)
     q = transition_matrix(params.lam, lattice.h)
     p = regime_return_probs(params, lattice, literal_exponent)
@@ -139,20 +132,15 @@ def price_partial(
         thresholds=first_exercise_prices if keep_surface else None,
         keep_slice_at=keep_slice_at,
     )
-    root_layers = run.root
-    check_finite("partial-information root value", root_layers)
-    root = float(grid.interpolate(root_layers, y0))
+    check_finite("partial-information root value", run.root)
     return PartialInfoResult(
-        root=root,
-        y0=y0,
-        root_layers=root_layers,
+        root_layers=run.root,
         params=params,
         lattice=lattice,
         q=q,
         p=p,
         grid=grid,
         surface=run.thresholds,
-        slice_step=keep_slice_at,
         slice_values=run.slice_values,
         slice_continuation=run.slice_continuation,
         node_steps=run.node_steps,
@@ -162,21 +150,20 @@ def price_partial(
 def price_partial_exact(
     params: ModelParams,
     n_steps: int,
-    y0: float | None = None,
     literal_exponent: bool = False,
 ) -> float:
     """Exact dynamic programming on the full non-recombining belief tree.
 
     No belief grid and no interpolation anywhere: every move sequence carries
-    its own filtered probability.  State count is 2^N, so N is capped.
+    its own filtered probability, starting from ``params.y0``.  State count
+    is 2^N, so N is capped.
     """
     if n_steps > MAX_EXACT_STEPS:
         raise ValueError(
             f"exact enumeration needs 2^N states; n_steps={n_steps} exceeds the "
             f"cap of {MAX_EXACT_STEPS}"
         )
-    if y0 is None:
-        y0 = params.y0
+    y0 = params.y0
     if not 0.0 <= y0 <= 1.0:
         raise ValueError(f"y0 must lie in [0, 1], got {y0}")
     lattice = build_lattice(params, n_steps)

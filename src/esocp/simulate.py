@@ -39,7 +39,6 @@ def block_uniforms(master_seed: int, block: int, n_steps: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimPath:
-    seed: object  # (master seed, path index) that located this path's draws
     lattice: Lattice
     ups: np.ndarray  # (N,) booleans, True = up move
     stock: np.ndarray  # (N+1,) node prices along the path
@@ -82,17 +81,16 @@ def simulate_joint_path(
     lattice: Lattice,
     q: QMatrix,
     p: RegimeReturnProbs,
-    seed,
+    seed: tuple[int, int],
     belief_starts: Sequence[float] = (0.0, 0.5),
 ) -> SimPath:
     """One path of (stock, regime) plus the outsider's filtered beliefs.
 
-    ``seed`` is (master seed, path index); an int s means (s, 0).  The move
-    over a step is drawn with the probability of the regime prevailing at the
-    end of that step.
+    ``seed`` is (master seed, path index).  The move over a step is drawn
+    with the probability of the regime prevailing at the end of that step.
     """
     _check_beliefs(belief_starts)
-    master_seed, index = (seed, 0) if isinstance(seed, (int, np.integer)) else seed
+    master_seed, index = seed
     n = lattice.n_steps
     draws = block_uniforms(master_seed, index // BLOCK, n)[:, index % BLOCK]
 
@@ -116,7 +114,6 @@ def simulate_joint_path(
         beliefs[y0] = path
 
     return SimPath(
-        seed=(master_seed, index),
         lattice=lattice,
         ups=ups,
         stock=stock,
@@ -331,10 +328,9 @@ def replay_draws(
             # update_belief's operations, in its order, on the realised move
             np.subtract(1.0, y, out=stay)
             np.multiply(q.q01, stay, out=favour)
-            favour += np.multiply(q.q11, y, out=denom)
+            favour += y
             favour *= p1
             np.multiply(q.q00, stay, out=denom)
-            denom += np.multiply(q.q10, y, out=stay)
             denom *= p0
             denom += favour
             np.divide(favour, denom, out=y)

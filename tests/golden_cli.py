@@ -76,6 +76,8 @@ CASES = {
     "error-N-list-zero": ["converge", "--N-list", "20", "0", "--L-list", "3", "--N", "20", "--L", "3"],
     "error-L-list-one": ["converge", "--N-list", "20", "--L-list", "3", "1", "--N", "20", "--L", "3"],
     "error-seed-negative": ["simulate", "--N", "20", "--L", "3", "--seed", "-1"],
+    "error-x-points-negative": ["perpetual", "--x-points", "-3"],
+    "error-smooth-degree-negative": ["boundary", "--N", "50", "--smooth", "--smooth-degree", "-1"],
 }
 
 # "<file>:<line>: <category>: <message>", then the echoed source line

@@ -95,7 +95,7 @@ def test_criterion_03_no_switch_reduction():
         p.spot, p.strike, p.r, p.mu0, p.sigma, p.maturity, PRODUCTION_N
     )
     gap_full = abs(price_full(p, PRODUCTION_N, keep_boundaries=False).v0_root - oracle)
-    gap_partial = abs(price_partial(p, PRODUCTION_N, 51, y0=0.0).root - oracle)
+    gap_partial = abs(price_partial(p, PRODUCTION_N, 51).root_at(0.0) - oracle)
     _report(
         3,
         gap_full <= 1e-12 and gap_partial <= 1e-12,
@@ -121,7 +121,7 @@ def test_criterion_04_sandwich_and_monotonicity(full_base, partial_base):
 
 def test_criterion_05_exact_oracle_equivalence():
     exact = price_partial_exact(BASE, 12)
-    gaps = [abs(price_partial(BASE, 12, L).root - exact) for L in (51, 101, 201, 501)]
+    gaps = [abs(price_partial(BASE, 12, L).root_at(BASE.y0) - exact) for L in (51, 101, 201, 501)]
     nonincreasing = all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
     _report(
         5,
@@ -220,7 +220,7 @@ def test_criterion_08_filter_properties():
     sum_gap = float(np.max(np.abs(pu + pd - 1.0)))
     yu = update_belief(ys, True, q, p)
     yd = update_belief(ys, False, q, p)
-    mean_gap = float(np.max(np.abs(pu * yu + pd * yd - (q.q01 * (1 - ys) + q.q11 * ys))))
+    mean_gap = float(np.max(np.abs(pu * yu + pd * yd - (q.q01 * (1 - ys) + ys))))
     monotone = bool(np.all(yd >= yu))
 
     # quadrature vs Euler benchmark on 100 seeded paths, refined in lockstep;

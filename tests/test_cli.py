@@ -250,8 +250,10 @@ def test_worker_error_keeps_exit_code_and_message(capsys, monkeypatch, cpus):
         (["converge", "--N-list", "20", "-3", "--L-list", "3"], "--N-list must be >= 1, got -3"),
         (["converge", "--N-list", "20", "--L-list", "3", "1"], "--L-list must be >= 2, got 1"),
         (["simulate", "--N", "20", "--L", "3", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["perpetual", "--x-points", "-3"], "--x-points must be >= 1, got -3"),
+        (["boundary", "--N", "50", "--smooth", "--smooth-degree", "-1"], "--smooth-degree must be >= 0, got -1"),
     ],
-    ids=["N", "L", "N-list", "L-list", "seed"],
+    ids=["N", "L", "N-list", "L-list", "seed", "x-points", "smooth-degree"],
 )
 def test_bad_sizes_are_usage_errors_before_the_manifest(tmp_path, capsys, monkeypatch, argv, message):
     def no_pricing(*args, **kwargs):
@@ -260,6 +262,7 @@ def test_bad_sizes_are_usage_errors_before_the_manifest(tmp_path, capsys, monkey
     monkeypatch.setattr(cli, "price_full", no_pricing)
     monkeypatch.setattr(cli, "price_partial", no_pricing)
     monkeypatch.setattr(cli, "_roots", no_pricing)
+    monkeypatch.setattr(cli, "solve_perpetual", no_pricing)
     code, out, err = run(capsys, *argv, "--out", str(tmp_path / "o"))
     assert code == 2
     assert err == f"error: {message}\n"

@@ -44,8 +44,35 @@ def test_predict_pure_regimes(chain):
 def test_predict_formula_midpoint(chain):
     q, p = chain
     y = 0.5
-    expected = p.p_up0 * (q.q00 * (1 - y) + q.q10 * y) + p.p_up1 * (q.q01 * (1 - y) + q.q11 * y)
+    expected = p.p_up0 * (q.q00 * (1 - y)) + p.p_up1 * (q.q01 * (1 - y) + y)
     assert predict_return_prob(y, q, p, True) == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize("n_steps", [1, 60, 2500])
+@pytest.mark.parametrize("lam", [0.0, 1e-9, 0.1, 5.0])
+def test_filter_is_the_general_two_state_filter_bit_for_bit(lam, n_steps):
+    # The chain stores only row 0.  Written out with the absorbing row
+    # (q10, q11) = (0, 1), the general two-state filter gives the same bits:
+    # x + 0.0 * y and 1.0 * y are exact for beliefs in [0, 1].
+    params = replace(BASE, lam=lam)
+    lat = build_lattice(params, n_steps)
+    q = transition_matrix(lam, lat.h)
+    p = regime_return_probs(params, lat)
+    q10, q11 = 0.0, 1.0
+    for up in (True, False):
+        p0, p1 = (p.p_up0, p.p_up1) if up else (p.p_dw0, p.p_dw1)
+        for y in (0.0, 1.0, 1e-300, 5e-324, np.linspace(0.0, 1.0, 10001)):
+            stay = p0 * (q.q00 * (1.0 - y) + q10 * y)
+            switch = p1 * (q.q01 * (1.0 - y) + q11 * y)
+            predicted = predict_return_prob(y, q, p, up)
+            posterior = update_belief(y, up, q, p)
+            if isinstance(y, float):
+                assert type(predicted) is float and type(posterior) is float
+                assert predicted == stay + switch
+                assert posterior == switch / (stay + switch)
+            else:
+                assert np.array_equal(predicted, stay + switch)
+                assert np.array_equal(posterior, switch / (stay + switch))
 
 
 def test_predict_sums_to_one_sweep(chain):
@@ -82,7 +109,7 @@ def test_posterior_mean_consistency(chain):
     lhs = predict_return_prob(ys, q, p, True) * update_belief(ys, True, q, p) + predict_return_prob(
         ys, q, p, False
     ) * update_belief(ys, False, q, p)
-    rhs = q.q01 * (1.0 - ys) + q.q11 * ys
+    rhs = q.q01 * (1.0 - ys) + ys
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
@@ -121,8 +148,8 @@ def test_grid_targets_inside_brackets(chain):
     q, p = chain
     g = build_grid(250, q, p)
     for target, lo, hi, w in (
-        (g.y_up, g.up_lo, g.up_hi, g.w_up),
-        (g.y_dw, g.dw_lo, g.dw_hi, g.w_dw),
+        (update_belief(g.points, True, q, p), g.up_lo, g.up_hi, g.w_up),
+        (update_belief(g.points, False, q, p), g.dw_lo, g.dw_hi, g.w_dw),
     ):
         assert np.all((g.points[lo] <= target + 1e-12) & (target <= g.points[hi] + 1e-12))
         assert np.all((hi == lo) | (hi == lo + 1))

@@ -51,7 +51,7 @@ def test_no_early_exercise_when_drift_dominates_rate():
     result = price_full(p, n)
     for regime in (0, 1):
         euro = price_european_reference(p, n, regime=regime)
-        assert abs(result.root(regime) - euro) <= 1e-9
+        assert abs((result.v0_root, result.v1_root)[regime] - euro) <= 1e-9
         assert np.all(np.isinf(result.boundary(regime)[:n]))
         assert result.boundary(regime)[n] == p.strike
 

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from esocp import (
     AdmissibilityError,
     build_lattice,
+    predict_return_prob,
     regime_return_probs,
     transition_matrix,
+    update_belief,
 )
 
 from conftest import BASE
@@ -53,7 +55,7 @@ def test_zero_steps_rejected():
 
 def test_transition_matrix_no_switching():
     q = transition_matrix(0.0, 0.004)
-    assert (q.q00, q.q01, q.q10, q.q11) == (1.0, 0.0, 0.0, 1.0)
+    assert (q.q00, q.q01) == (1.0, 0.0)
 
 
 def test_transition_matrix_values():
@@ -65,8 +67,13 @@ def test_transition_matrix_values():
 
 @pytest.mark.parametrize("lam", [0.0, 0.1, 5.0])
 def test_switched_state_is_absorbing(lam):
+    # the chain stores no row for state 1: the filter keeps a certain switch
+    # certain and predicts regime 1's own moves there
     q = transition_matrix(lam, 0.02)
-    assert (q.q10, q.q11) == (0.0, 1.0)
+    p = regime_return_probs(BASE, build_lattice(BASE, 500))
+    for up, p1 in ((True, p.p_up1), (False, p.p_dw1)):
+        assert update_belief(1.0, up, q, p) == 1.0
+        assert predict_return_prob(1.0, q, p, up) == p1
 
 
 def test_return_probs_default_convention():
@@ -76,7 +83,6 @@ def test_return_probs_default_convention():
     assert p.p_up0 == pytest.approx((exp(0.02 * 0.004) - dw) / (up - dw), rel=1e-14)
     assert p.p_up1 == pytest.approx((exp(-0.02 * 0.004) - dw) / (up - dw), rel=1e-14)
     assert p.p_up0 + p.p_dw0 == pytest.approx(1.0, abs=1e-15)
-    assert not p.literal_exponent
 
 
 def test_return_probs_half_variance_drift():
@@ -104,7 +110,6 @@ def test_literal_exponent_flag():
     p = regime_return_probs(BASE, lat, literal_exponent=True)
     up, dw = lat.up, lat.dw
     assert p.p_up0 == pytest.approx((exp(0.02 * sqrt(0.004)) - dw) / (up - dw), rel=1e-14)
-    assert p.literal_exponent
 
 
 def test_inadmissible_drift_rejected_with_max_h():
@@ -118,9 +123,6 @@ def test_inadmissible_drift_rejected_with_max_h():
 def test_joint_transitions_absorption_and_no_switch():
     lat = build_lattice(BASE, 2500)
     p = regime_return_probs(BASE, lat)
-    # from the switched regime every move keeps regime 1
-    switched = transition_matrix(BASE.lam, lat.h)
-    assert (switched.q10, switched.q11) == (0.0, 1.0)
     # without switching a fresh regime moves by its own law and stays
     fresh = transition_matrix(0.0, lat.h)
     qi0, qi1 = fresh.q00, fresh.q01
@@ -146,8 +148,9 @@ def test_joint_transition_mass_sums_to_one(lam, h, mu0, gap, sigma, regime):
         probs = regime_return_probs(p, lat)
     except AdmissibilityError:
         return
-    # the one-step law of (move, next regime): next regime j from the row, then its move
-    qi0, qi1 = (q.q00, q.q01) if regime == 0 else (q.q10, q.q11)
+    # the one-step law of (move, next regime): next regime j from the row, then
+    # its move; row 1 of the chain is (0, 1), since the switch is absorbing
+    qi0, qi1 = (q.q00, q.q01) if regime == 0 else (0.0, 1.0)
     mass = (probs.p_up0 * qi0, probs.p_dw0 * qi0, probs.p_up1 * qi1, probs.p_dw1 * qi1)
     assert all(pr >= 0.0 for pr in mass)
     assert sum(mass) == pytest.approx(1.0, abs=1e-14)

@@ -40,7 +40,6 @@ def test_derived_constants():
     assert d.nu0 == pytest.approx(0.02 / 0.30 - 0.15, rel=1e-15)
     assert d.nu1 == pytest.approx(-0.02 / 0.30 - 0.15, rel=1e-15)
     assert d.kappa == pytest.approx(0.10 + d.eta * d.nu0 - 0.5 * d.eta**2, rel=1e-15)
-    assert BASE.derived == d
 
 
 def test_eta_is_one_when_drift_gap_equals_sigma():

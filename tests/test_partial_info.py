@@ -33,24 +33,24 @@ def test_single_step_closed_form():
         exp(-BASE.r * lat.h)
         * (pu * max(100.0 * lat.up - 100.0, 0.0) + (1.0 - pu) * max(100.0 * lat.dw - 100.0, 0.0)),
     )
-    assert price_partial(BASE, 1, 11, y0=y0).root == pytest.approx(expected, rel=1e-14)
-    assert price_partial_exact(BASE, 1, y0=y0) == pytest.approx(expected, rel=1e-14)
+    assert price_partial(BASE, 1, 11).root_at(y0) == pytest.approx(expected, rel=1e-14)
+    assert price_partial_exact(replace(BASE, y0=y0), 1) == pytest.approx(expected, rel=1e-14)
 
 
 def test_certain_switch_equals_switched_insider_tree():
     # the top belief layer runs the regime-1 recursion verbatim
     n = 300
     full = price_full(BASE, n, keep_boundaries=False)
-    partial = price_partial(BASE, n, 41, y0=1.0)
-    assert abs(partial.root - full.v1_root) <= 1e-12
-    assert price_partial_exact(BASE, 12, y0=1.0) == pytest.approx(
+    partial = price_partial(BASE, n, 41)
+    assert abs(partial.root_at(1.0) - full.v1_root) <= 1e-12
+    assert price_partial_exact(replace(BASE, y0=1.0), 12) == pytest.approx(
         price_full(BASE, 12, keep_boundaries=False).v1_root, abs=1e-12
     )
 
 
 def test_no_switch_reduces_to_plain_crr():
     p = replace(BASE, lam=0.0)
-    got = price_partial(p, 500, 21, y0=0.0).root
+    got = price_partial(p, 500, 21).root_at(0.0)
     oracle = crr_american_call(100.0, 100.0, p.r, p.mu0, p.sigma, p.maturity, 500)
     assert abs(got - oracle) <= 1e-12
 
@@ -61,10 +61,10 @@ def test_exact_enumeration_cap():
 
 
 def test_grid_approximation_converges_to_exact_oracle():
-    exact = price_partial_exact(BASE, 12, y0=0.5)
+    exact = price_partial_exact(replace(BASE, y0=0.5), 12)
     gaps = []
     for n_belief in (3, 5, 11, 25, 51):
-        approx = price_partial(BASE, 12, n_belief, y0=0.5).root
+        approx = price_partial(BASE, 12, n_belief).root_at(0.5)
         gaps.append(abs(approx - exact))
     assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 1e-3
@@ -103,10 +103,12 @@ def test_root_at_rejects_beliefs_outside_unit_interval(y0):
 
 
 def test_default_start_uses_model_prior():
+    # the exact oracle starts from params.y0; the grid's layers do not depend on it
     p = replace(BASE, y0=0.4)
-    partial = price_partial(p, 100, 51)
-    assert partial.y0 == 0.4
-    assert partial.root == partial.root_at(0.4)
+    partial = price_partial(p, 10, 101)
+    assert np.array_equal(partial.root_layers, price_partial(BASE, 10, 101).root_layers)
+    assert price_partial_exact(p, 10) == pytest.approx(partial.root_at(0.4), abs=1e-9)
+    assert price_partial_exact(p, 10) != pytest.approx(price_partial_exact(BASE, 10), abs=1e-3)
 
 
 def test_surface_shape_and_terminal_row():
@@ -150,8 +152,8 @@ def test_surface_nonincreasing_in_time_up_to_one_node():
 def test_retained_slice_invariants():
     n = 200
     result = price_partial(BASE, n, 51, keep_surface=True, keep_slice_at=n // 2)
-    assert result.slice_step == 100
     values = result.slice_values
+    assert values.shape == (51, 101)
     prices = result.lattice.level_prices(100)
     intrinsic = np.maximum(prices - BASE.strike, 0.0)
     assert np.all(values >= intrinsic[None, :] - 1e-12)
@@ -164,7 +166,7 @@ def test_smooth_pasting_delta_at_production_size(partial_base):
     # one-sided discrete delta just below the boundary; O(sqrt(h)) lattice
     # error justifies the 5% slack
     result = partial_base
-    k = result.slice_step
+    k = PRODUCTION_N // 2  # the fixture's keep_slice_at
     prices = result.lattice.level_prices(k)
     checked = 0
     for l in range(result.grid.n_points):
@@ -186,11 +188,9 @@ def test_input_validation():
     with pytest.raises(ValueError):
         price_partial(BASE, 100, 1)
     with pytest.raises(ValueError):
-        price_partial(BASE, 100, 11, y0=1.5)
-    with pytest.raises(ValueError):
         price_partial(BASE, 100, 11, keep_slice_at=100)
     with pytest.raises(ValueError):
-        price_partial_exact(BASE, 10, y0=-0.2)
+        price_partial_exact(replace(BASE, y0=-0.2), 10)
 
 
 @st.composite
@@ -231,10 +231,10 @@ def test_grid_bounds_exact_from_above_and_sits_between_insider_values(case):
     # themselves are convex in the belief: on the equidistant grid their
     # second differences are not negative.
     params, n_steps, n_belief, y0 = case
-    partial = price_partial(params, n_steps, n_belief, y0=y0)
-    layers, grid = partial.root_layers, partial.root
+    partial = price_partial(params, n_steps, n_belief)
+    layers, grid = partial.root_layers, partial.root_at(y0)
     assert np.all(np.diff(layers, 2) >= -ORACLE_SLACK * np.max(np.abs(layers)))
-    exact = price_partial_exact(params, n_steps, y0=y0)
+    exact = price_partial_exact(replace(params, y0=y0), n_steps)
     assert grid >= exact - ORACLE_SLACK * exact
     full = price_full(params, n_steps, keep_boundaries=False)
     assert full.v1_root - ORACLE_SLACK * full.v1_root <= grid <= full.v0_root + ORACLE_SLACK * full.v0_root

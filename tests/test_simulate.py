@@ -79,7 +79,7 @@ def test_no_intensity_never_switches(machinery):
     p0 = replace(BASE, lam=0.0)
     q0 = transition_matrix(0.0, lat.h)
     for seed in range(20):
-        path = simulate_joint_path(p0, lat, q0, p, seed)
+        path = simulate_joint_path(p0, lat, q0, p, (seed, 0))
         assert path.switch_step is None
         assert np.all(path.regime == 0)
 
@@ -159,7 +159,7 @@ def _crafted_path(lat, q, p, ups, switch_step):
             y = update_belief(y, ups[k], q, p)
             ys[k + 1] = y
         beliefs[y0] = ys
-    return SimPath(seed=None, lattice=lat, ups=ups, stock=stock, regime=regime,
+    return SimPath(lattice=lat, ups=ups, stock=stock, regime=regime,
                    switch_step=switch_step, beliefs=beliefs)
 
 
@@ -334,10 +334,6 @@ def test_single_paths_match_batch_across_block_boundaries(machinery, priced):
             step = -1 if o.exercise_step is None else o.exercise_step
             assert batch[o.agent].exercise_step[i] == step
             assert batch[o.agent].payoff[i] == o.payoff
-    # an int seed s is path 0 of master seed s
-    a = simulate_joint_path(BASE, lat, q, p, 4242, (0.0,))
-    b = simulate_joint_path(BASE, lat, q, p, (4242, 0), (0.0,))
-    assert np.array_equal(a.stock, b.stock) and np.array_equal(a.beliefs[0.0], b.beliefs[0.0])
 
 
 def test_block_stream_is_pinned():
@@ -455,6 +451,6 @@ def test_lattice_mismatch_rejected(machinery, priced):
     full, partial = priced
     other = build_lattice(BASE, N + 1)
     path = simulate_joint_path(BASE, other, transition_matrix(BASE.lam, other.h),
-                               regime_return_probs(BASE, other), 1)
+                               regime_return_probs(BASE, other), (1, 0))
     with pytest.raises(ValueError, match="lattice mismatch"):
         replay_policies(path, full, {0.0: partial})
