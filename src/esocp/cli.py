@@ -13,7 +13,6 @@ import csv
 import functools
 import sys
 from dataclasses import replace
-from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -21,15 +20,9 @@ import numpy as np
 from . import __version__
 from ._workers import ordered_map
 from .full_info import FullInfoResult, price_full, price_full_roots
-from .lattice import AdmissibilityError
-from .model import PARAM_KEYS, ModelParams, ParameterError, load_params, parse_rate, validate
+from .model import PARAM_KEYS, ModelParams, load_params, parse_rate, validate
 from .partial_info import price_partial
-from .perpetual import (
-    BracketError,
-    DegenerateParameterError,
-    NoFiniteBoundary,
-    solve_perpetual,
-)
+from .perpetual import BracketError, NoFiniteBoundary, solve_perpetual
 from .simulate import (
     RNG_NAME,
     aggregate_stats,
@@ -51,15 +44,9 @@ BASE_PARAMS = ModelParams(
     y0=0.0,
 )
 
-# y0 is deliberately absent: subcommands that need beliefs own a repeatable
-# --y0; the model-level prior comes from the parameter file.
-_PARAM_FLAGS = ("mu0", "mu1", "sigma", "lam", "r", "strike", "maturity", "spot")
-
 
 def _fmt(x: float) -> str:
-    if not isfinite(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(float(x))  # shortest round-trip decimal
+    return repr(float(x))  # shortest round-trip decimal, or inf, -inf, nan
 
 
 def _resolve_params(args: argparse.Namespace) -> ModelParams:
@@ -71,7 +58,9 @@ def _resolve_params(args: argparse.Namespace) -> ModelParams:
     else:
         params = BASE_PARAMS
     overrides = {
-        name: getattr(args, name) for name in _PARAM_FLAGS if getattr(args, name) is not None
+        field: getattr(args, field)
+        for field in PARAM_KEYS.values()
+        if field != "y0" and getattr(args, field) is not None
     }
     if overrides:
         params = replace(params, **overrides)
@@ -84,10 +73,11 @@ class UsageError(Exception):
 
 def _check_sizes(args: argparse.Namespace) -> None:
     """Path counts, lattice sizes (--N, --L and their lists), --seed,
-    --x-points and --smooth-degree out of range are usage errors."""
+    --x-points, --x-min, --x-max and --smooth-degree out of range are usage
+    errors."""
     bounds = (
         ("paths", 1), ("export_paths", 0), ("N", 1), ("L", 2), ("N_list", 1), ("L_list", 2), ("seed", 0),
-        ("x_points", 1), ("smooth_degree", 0),
+        ("x_points", 1), ("x_min", 0), ("x_max", 0), ("smooth_degree", 0),
     )
     for dest, minimum in bounds:
         values = getattr(args, dest, None)
@@ -334,25 +324,22 @@ def cmd_table1(args: argparse.Namespace) -> int:
         for mu1 in TABLE1_MU1
     ]
     literal = args.literal_pl_exponent
-    groups: dict[ModelParams, list[int]] = {}
-    for i, cell in enumerate(cells):
-        groups.setdefault(replace(cell, mu0=0.0, mu1=0.0, lam=0.0), []).append(i)
-    # The insiders of the cells that share a lattice are one job, listed just
-    # before the outsider job of the first of those cells.
-    first = {members[0]: members for members in groups.values()}
-    jobs = []
-    for i, cell in enumerate(cells):
-        if i in first:
-            jobs.append(functools.partial(price_full_roots, [cells[j] for j in first[i]], args.N, literal))
-        jobs.append(functools.partial(_roots, (cell, args.N, args.L, literal, False)))
+    groups: dict[ModelParams, list[ModelParams]] = {}
+    for cell in cells:
+        groups.setdefault(replace(cell, mu0=0.0, mu1=0.0, lam=0.0), []).append(cell)
+    # The insiders of the cells that share a lattice are one job; these go
+    # first, then one outsider job per cell.  A group returns a failing run's
+    # error as a value, so each error is raised when its cell comes up.
+    jobs = [functools.partial(price_full_roots, members, args.N, literal) for members in groups.values()]
+    jobs += [functools.partial(_roots, (cell, args.N, args.L, literal, False)) for cell in cells]
     results = ordered_map(_call, jobs)
-    rows = []
     print(f"{'mu0':>5} {'mu1':>5} {'sigma':>6} {'lambda':>6}   {'v0':>7} {'v1':>7} {'u(0)':>7} {'u(0.5)':>7}")
     insiders = {}
-    for i, cell in enumerate(cells):
-        if i in first:
-            insiders.update(zip(first[i], next(results)))
-        insider = insiders.pop(i)
+    for members in groups.values():
+        insiders.update(zip(members, next(results)))
+    rows = []
+    for cell in cells:
+        insider = insiders[cell]
         if isinstance(insider, Exception):
             raise insider
         (v0, v1), (u0, u05) = insider, next(results)
@@ -380,47 +367,41 @@ def cmd_converge(args: argparse.Namespace) -> int:
     # One pool for both tables; each zip stops at the end of its own list
     # before asking the shared iterator for another result.
     results = ordered_map(_roots, jobs)
-    n_rows = []
-    for n, roots in zip(args.N_list, results):
-        n_rows.append((n, *roots))
-        print(f"N={n:>6d}: v0={n_rows[-1][1]:.4f} v1={n_rows[-1][2]:.4f} "
-              f"u0={n_rows[-1][3]:.4f} u05={n_rows[-1][4]:.4f}")
-    out.write_csv("value_vs_n.csv", ["n", "v0", "v1", "u0", "u05"], n_rows)
-
-    l_rows = []
-    for l, roots in zip(args.L_list, results):
-        l_rows.append((l, *roots))
-        print(f"L={l:>6d}: u0={l_rows[-1][1]:.4f} u05={l_rows[-1][2]:.4f}")
-    out.write_csv("value_vs_l.csv", ["l", "u0", "u05"], l_rows)
-
-    if len(n_rows) >= 2:
-        last, prev = n_rows[-1], n_rows[-2]
-        for idx, name in ((1, "v0"), (2, "v1"), (3, "u0"), (4, "u05")):
-            print(f"|{name}(N={last[0]}) - {name}(N={prev[0]})| = {abs(last[idx]-prev[idx]):.4f}")
-    if len(l_rows) >= 2:
-        last, prev = l_rows[-1], l_rows[-2]
-        for idx, name in ((1, "u0"), (2, "u05")):
-            print(f"|{name}(L={last[0]}) - {name}(L={prev[0]})| = {abs(last[idx]-prev[idx]):.4f}")
+    tables = []
+    for sizes, header in ((args.N_list, ["n", "v0", "v1", "u0", "u05"]), (args.L_list, ["l", "u0", "u05"])):
+        name, rows = header[0].upper(), []
+        for size, roots in zip(sizes, results):
+            rows.append((size, *roots))
+            print(f"{name}={size:>6d}: " + " ".join(f"{col}={v:.4f}" for col, v in zip(header[1:], roots)))
+        out.write_csv(f"value_vs_{header[0]}.csv", header, rows)
+        tables.append((name, header, rows))
+    for name, header, rows in tables:
+        if len(rows) >= 2:
+            (size, *last), (prev_size, *prev) = rows[-1], rows[-2]
+            for col, a, b in zip(header[1:], last, prev):
+                print(f"|{col}({name}={size}) - {col}({name}={prev_size})| = {abs(a - b):.4f}")
     return 0
 
 
-def _add_param_flags(sp: argparse.ArgumentParser) -> None:
+def _command(sub, name: str, func, help: str) -> argparse.ArgumentParser:
+    """Add subcommand ``name``, run by ``func``, with the flags every subcommand shares."""
+    sp = sub.add_parser(name, help=help)
     sp.add_argument("--params", help="parameter file (key=value lines, '#' comments)")
-    for name in _PARAM_FLAGS:
-        flag = "--lambda" if name == "lam" else f"--{name}"
-        sp.add_argument(
-            flag,
-            dest=name,
-            type=parse_rate,
-            default=None,
-            help=f"override {name} (accepts e.g. '2.5%%')",
-        )
+    # y0 has no override: subcommands that need beliefs own a repeatable
+    # --y0; the model-level prior comes from the parameter file.
+    for key, field in PARAM_KEYS.items():
+        if field != "y0":
+            sp.add_argument(
+                f"--{key}", dest=field, type=parse_rate, help=f"override {field} (accepts e.g. '2.5%%')"
+            )
     sp.add_argument("--out", help="output directory for manifest and CSV files")
     sp.add_argument(
         "--literal-pl-exponent",
         action="store_true",
         help="use the mu*sqrt(h) growth exponent instead of the mu*h default",
     )
+    sp.set_defaults(func=func)
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,41 +412,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"esocp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("price-full", help="insider (regime-observing) option values")
-    _add_param_flags(sp)
+    sp = _command(sub, "price-full", cmd_price_full, "insider (regime-observing) option values")
     sp.add_argument("--N", type=int, default=2500, help="lattice steps")
-    sp.set_defaults(func=cmd_price_full)
 
-    sp = sub.add_parser("price-partial", help="outsider (price-filtering) option values")
-    _add_param_flags(sp)
+    sp = _command(sub, "price-partial", cmd_price_partial, "outsider (price-filtering) option values")
     sp.add_argument("--N", type=int, default=2500, help="lattice steps")
     sp.add_argument("--L", type=int, default=250, help="belief grid points")
     sp.add_argument("--y0", dest="y0_list", type=parse_rate, action="append",
                     help="initial belief to price at (repeatable)")
-    sp.set_defaults(func=cmd_price_partial)
 
-    sp = sub.add_parser("boundary", help="full-information exercise boundaries as CSV")
-    _add_param_flags(sp)
+    sp = _command(sub, "boundary", cmd_boundary, "full-information exercise boundaries as CSV")
     sp.add_argument("--N", type=int, default=2500)
     sp.add_argument("--smooth", action="store_true", help="also write a polynomial-smoothed CSV")
     sp.add_argument("--smooth-degree", type=int, default=5)
-    sp.set_defaults(func=cmd_boundary)
 
-    sp = sub.add_parser("surface", help="partial-information exercise surface as CSV")
-    _add_param_flags(sp)
+    sp = _command(sub, "surface", cmd_surface, "partial-information exercise surface as CSV")
     sp.add_argument("--N", type=int, default=2500)
     sp.add_argument("--L", type=int, default=250)
-    sp.set_defaults(func=cmd_surface)
 
-    sp = sub.add_parser("perpetual", help="closed-form infinite-horizon solution")
-    _add_param_flags(sp)
+    sp = _command(sub, "perpetual", cmd_perpetual, "closed-form infinite-horizon solution")
     sp.add_argument("--x-min", type=float, default=None)
     sp.add_argument("--x-max", type=float, default=None)
     sp.add_argument("--x-points", type=int, default=201)
-    sp.set_defaults(func=cmd_perpetual)
 
-    sp = sub.add_parser("simulate", help="simulate joint paths and replay both policies")
-    _add_param_flags(sp)
+    sp = _command(sub, "simulate", cmd_simulate, "simulate joint paths and replay both policies")
     sp.add_argument("--N", type=int, default=2500)
     sp.add_argument("--L", type=int, default=250)
     sp.add_argument("--seed", type=int, default=1)
@@ -473,21 +443,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--export-paths", type=int, default=4, help="paths written as CSV")
     sp.add_argument("--y0", dest="y0_list", type=parse_rate, action="append",
                     help="outsider initial beliefs (repeatable; default 0 and 0.5)")
-    sp.set_defaults(func=cmd_simulate)
 
-    sp = sub.add_parser("table1", help="comparative statics over the parameter grid")
-    _add_param_flags(sp)
+    sp = _command(sub, "table1", cmd_table1, "comparative statics over the parameter grid")
     sp.add_argument("--N", type=int, default=2500)
     sp.add_argument("--L", type=int, default=250)
-    sp.set_defaults(func=cmd_table1)
 
-    sp = sub.add_parser("converge", help="value-vs-N and value-vs-L refinement tables")
-    _add_param_flags(sp)
+    sp = _command(sub, "converge", cmd_converge, "value-vs-N and value-vs-L refinement tables")
     sp.add_argument("--N-list", type=int, nargs="+", default=[156, 312, 625, 1250, 2500])
     sp.add_argument("--L-list", type=int, nargs="+", default=[50, 100, 150, 200, 250, 300])
     sp.add_argument("--N", type=int, default=2500, help="fixed N for the L sweep")
     sp.add_argument("--L", type=int, default=250, help="fixed L for the N sweep")
-    sp.set_defaults(func=cmd_converge)
 
     return parser
 
@@ -500,13 +465,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        ParameterError,
-        AdmissibilityError,
-        DegenerateParameterError,
-        BracketError,
-        ValueError,
-    ) as exc:
+    except (ValueError, BracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -54,7 +54,7 @@ def validate(params: ModelParams) -> ModelParams:
     no-switch sanity run) can still be priced by bypassing this check.  The
     CLI always validates.
     """
-    for name in ("mu0", "mu1", "sigma", "lam", "r", "strike", "maturity", "spot", "y0"):
+    for name in PARAM_KEYS.values():
         value = getattr(params, name)
         if not isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value!r}")

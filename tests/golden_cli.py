@@ -6,7 +6,8 @@ SRC_DIR is the directory that holds the ``esocp`` package (``src`` in a
 checkout).  Each case runs twice, without and with ``--out out``, as
 ``python -m esocp.cli`` in its own empty directory OUT_DIR/<case>/<plain|out>,
 which ends up holding ``stdout``, ``stderr``, ``code`` (the exit code) and the
-files the run wrote.  Run it on two checkouts and compare the trees:
+files the run wrote.  Every run sees ``COLUMNS=80``, so ``--help`` wraps the
+same in any terminal.  Run it on two checkouts and compare the trees:
 
     diff -r --exclude-from=tests/golden_allow.txt BASE_TREE CHANGE_TREE
 
@@ -78,7 +79,16 @@ CASES = {
     "error-seed-negative": ["simulate", "--N", "20", "--L", "3", "--seed", "-1"],
     "error-x-points-negative": ["perpetual", "--x-points", "-3"],
     "error-smooth-degree-negative": ["boundary", "--N", "50", "--smooth", "--smooth-degree", "-1"],
+    "error-x-min-negative": ["perpetual", "--x-min", "-10", "--x-max", "5", "--x-points", "3"],
+    "error-x-max-negative": ["perpetual", "--x-max", "-1", "--x-points", "3"],
+    "version": ["--version"],
+    "help": ["--help"],
 }
+# the --help text of every subcommand, wrapped at COLUMNS=80 (see run_case)
+CASES.update({
+    f"help-{command}": [command, "--help"]
+    for command in ("price-full", "price-partial", "boundary", "surface", "perpetual", "simulate", "table1", "converge")
+})
 
 # "<file>:<line>: <category>: <message>", then the echoed source line
 WARNING = re.compile(r"^(\S+\.py):\d+: (\w+: .*)\n  .*\n", re.MULTILINE)
@@ -92,7 +102,7 @@ def run_case(src: Path, work: Path, argv: list[str], pinned: bool) -> None:
     work.mkdir(parents=True)
     if "params.txt" in argv:
         (work / "params.txt").write_text(PARAM_FILE)
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    env = {**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"}
     env.pop("PYTHONWARNINGS", None)
     done = subprocess.run(
         [sys.executable, "-m", "esocp.cli", *argv], cwd=work, env=env, capture_output=True, text=True,

@@ -162,6 +162,21 @@ def test_rerun_is_byte_identical(tmp_path, capsys):
     assert (a / "manifest.txt").read_text() == (b / "manifest.txt").read_text()
 
 
+def test_fmt_writes_non_finite_floats_by_name():
+    assert [cli._fmt(x) for x in (float("nan"), float("inf"), -float("inf"), 0.1)] == ["nan", "inf", "-inf", "0.1"]
+
+
+def test_summary_csv_writes_nan_mean_time_when_no_agent_exercises(tmp_path, capsys):
+    # at N=40, L=7 neither of these 2 paths crosses any agent's threshold
+    code, _, _ = run(capsys, "simulate", "--N", "40", "--L", "7", "--paths", "2", "--export-paths", "0",
+                     "--out", str(tmp_path))
+    assert code == 0
+    rows = (tmp_path / "summary.csv").read_text().splitlines()
+    assert rows[0].split(",")[-2:] == ["exercise_frequency", "mean_exercise_time"]
+    assert [row.split(",")[-2:] for row in rows[1:]] == [["0.0", "nan"]] * 3
+    assert (tmp_path / "summary.txt").read_text().count("nan") == 3
+
+
 def test_simulate_path_csv_columns(tmp_path, capsys):
     out_dir = tmp_path / "sim"
     code, out, _ = run(capsys, "simulate", "--N", "60", "--L", "11", "--seed", "3",
@@ -252,8 +267,10 @@ def test_worker_error_keeps_exit_code_and_message(capsys, monkeypatch, cpus):
         (["simulate", "--N", "20", "--L", "3", "--seed", "-1"], "--seed must be >= 0, got -1"),
         (["perpetual", "--x-points", "-3"], "--x-points must be >= 1, got -3"),
         (["boundary", "--N", "50", "--smooth", "--smooth-degree", "-1"], "--smooth-degree must be >= 0, got -1"),
+        (["perpetual", "--x-min", "-10", "--x-max", "5", "--x-points", "3"], "--x-min must be >= 0, got -10.0"),
+        (["perpetual", "--x-max", "-1", "--x-points", "3"], "--x-max must be >= 0, got -1.0"),
     ],
-    ids=["N", "L", "N-list", "L-list", "seed", "x-points", "smooth-degree"],
+    ids=["N", "L", "N-list", "L-list", "seed", "x-points", "smooth-degree", "x-min", "x-max"],
 )
 def test_bad_sizes_are_usage_errors_before_the_manifest(tmp_path, capsys, monkeypatch, argv, message):
     def no_pricing(*args, **kwargs):
