@@ -13,6 +13,7 @@ import csv
 import functools
 import sys
 from dataclasses import replace
+from math import inf
 from pathlib import Path
 
 import numpy as np
@@ -73,8 +74,8 @@ class UsageError(Exception):
 
 def _check_sizes(args: argparse.Namespace) -> None:
     """Path counts, lattice sizes (--N, --L and their lists), --seed,
-    --x-points, --x-min, --x-max and --smooth-degree out of range are usage
-    errors."""
+    --x-points, --x-min, --x-max and --smooth-degree out of range, or not
+    finite, are usage errors."""
     bounds = (
         ("paths", 1), ("export_paths", 0), ("N", 1), ("L", 2), ("N_list", 1), ("L_list", 2), ("seed", 0),
         ("x_points", 1), ("x_min", 0), ("x_max", 0), ("smooth_degree", 0),
@@ -84,6 +85,8 @@ def _check_sizes(args: argparse.Namespace) -> None:
         for value in values if isinstance(values, list) else [values]:
             if value is not None and value < minimum:
                 raise UsageError(f"--{dest.replace('_', '-')} must be >= {minimum}, got {value}")
+            if value is not None and not value < inf:  # nan or +inf
+                raise UsageError(f"--{dest.replace('_', '-')} must be finite, got {value}")
 
 
 class _Output:

@@ -76,43 +76,29 @@ def _sweep_runs(
 
     The runs share the lattice, ``params``' strike and ``params``' rate; run c
     brings its switching chain qs[c] and move probabilities ps[c].  Its two
-    regime rows are layers 2c (high drift) and 2c + 1 (low drift).
+    regime rows are layers 2c (high drift) and 2c + 1 (low drift).  The
+    sweep names no ``child_rows``, so it always runs in one process.
     """
     disc = exp(-params.r * lattice.h)
     up_probs = np.array([(p.p_up0, p.p_up1) for p in ps]).reshape(-1, 1)
     dw_probs = np.array([(p.p_dw0, p.p_dw1) for p in ps]).reshape(-1, 1)
     mix = np.array([(q.q00, q.q01) for q in qs]).reshape(-1, 1)
-    n_layers = up_probs.shape[0]
     # w <= N + 1; only the pages of the columns used are touched
-    work = np.empty((2, n_layers, lattice.n_steps + 1))
-    pair = np.arange(n_layers) // 2 * 2  # the first layer of each layer's run
-    blocks = {}  # layers -> the runs' rows [a, b) they cut into, their weights, their rows in [a, b)
+    work = np.empty((up_probs.shape[0], lattice.n_steps + 1))
 
     def continuation(children: np.ndarray, out: np.ndarray, layers: tuple[int, int]) -> None:
         # Each run's two rows run the same operations as
         #   up1 = p_up1 * v1[1:] + p_dw1 * v1[:-1]
         #   cont0 = disc * (q00 * (p_up0 * v0[1:] + p_dw0 * v0[:-1]) + q01 * up1)
         #   cont1 = disc * up1
-        # on the stacked rows [a, b) of the runs that ``layers`` reaches into:
-        # in place in ``out`` when it holds whole runs, else in ``work``,
-        # keeping the rows asked for.
-        block = blocks.get(layers)
-        if block is None:
-            r0, r1 = layers
-            a, b = r0 - r0 % 2, r1 + r1 % 2
-            rows = None if (a, b) == layers else slice(r0 - a, r1 - a)
-            block = blocks[layers] = a, b, up_probs[a:b], dw_probs[a:b], mix[a:b], rows
-        a, b, up, dw, q, rows = block
-        w = out.shape[1]
-        tmp = work[0, : b - a, :w]
-        sums = out if rows is None else work[1, : b - a, :w]
-        np.multiply(up, children[a:b, 1:], out=sums)
-        np.multiply(dw, children[a:b, :-1], out=tmp)
-        sums += tmp
-        np.multiply(q, sums, out=tmp)
-        np.add(tmp[0::2], tmp[1::2], out=sums[0::2])
-        if rows is not None:
-            out[...] = sums[rows]
+        # on the stacked rows of every run, in place in ``out``; the sweep is
+        # never split, so ``layers`` is every layer.
+        tmp = work[:, : out.shape[1]]
+        np.multiply(up_probs, children[:, 1:], out=out)
+        np.multiply(dw_probs, children[:, :-1], out=tmp)
+        out += tmp
+        np.multiply(mix, out, out=tmp)
+        np.add(tmp[0::2], tmp[1::2], out=out[0::2])
         out *= disc
 
     sure_up = [(q.q00 * p.p_up0 + q.q01 * p.p_up1, p.p_up1) for q, p in zip(qs, ps)]
@@ -124,7 +110,6 @@ def _sweep_runs(
         np.array(sure_up).ravel(),
         np.array(sure_dw).ravel(),
         continuation,
-        child_rows=(pair, pair + 2),
         thresholds=first_exercise_prices if keep_boundaries else None,
     )
 

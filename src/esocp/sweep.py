@@ -33,11 +33,14 @@ and its children's intrinsic edge are contiguous slices.
 
 A step updates a range of layers over the whole window in one call: the
 pricer's continuation works through those rows in blocks of whole rows.
-Where a window can hold many (layer, node) entries, two processes share each
-step: the caller sweeps layers [0, L//2) and a helper forked for the sweep
-layers [L//2, L), both writing one window in shared memory and each copying
-only the child rows its layers read.  Each extracts the thresholds of its
-own layers, so the step's threshold row is the disjoint union of the two.
+Where a window can hold many (layer, node) entries and the caller names the
+child rows each layer reads (the outsider's belief grid does; the insider's
+two regime rows per run do not, so its sweep always runs in one process),
+two processes share each step: the caller sweeps layers [0, L//2) and a
+helper forked for the sweep layers [L//2, L), both writing one window in
+shared memory and each copying only the child rows its layers read.  Each
+extracts the thresholds of its own layers, so the step's threshold row is
+the disjoint union of the two.
 The layers of a step are independent, so the split changes no bit either.
 
 The whole sweep, in both processes, runs with numpy's ufunc buffer at
@@ -473,8 +476,11 @@ def backward_sweep(
     ``thresholds`` (``first_exercise_prices`` or None) extracts the
     first exercised price per layer and step.  Step ``keep_slice_at`` is
     swept over every node; its values and continuations are returned.
-    Sweeps with more than SPLIT_MIN_ENTRIES entries in their widest window
-    are shared with a forked helper process where ``_workers.can_fork()``.
+    A sweep that names its ``child_rows`` and has more than
+    SPLIT_MIN_ENTRIES entries in its widest window is shared with a forked
+    helper process where ``_workers.can_fork()``.  Without ``child_rows``
+    any layer may read any child row, so both halves would copy every row:
+    such a sweep (the insider's) always runs in this process.
     """
     # Overflow runs silently: a non-finite value it leaves reaches the root,
     # where the pricers' check_finite raises.  A nan is neither 0 nor any
@@ -491,7 +497,8 @@ def backward_sweep(
             sweep = _Sweep(
                 lattice, strike, disc, p_up, p_dw, continuation, child_rows, thresholds, keep_slice_at
             )
-            if sweep.n_layers * sweep.widest() > SPLIT_MIN_ENTRIES and _workers.can_fork():
+            wide = sweep.n_layers * sweep.widest() > SPLIT_MIN_ENTRIES
+            if wide and child_rows is not None and _workers.can_fork():
                 return _split(sweep)
             return sweep.run()
         finally:

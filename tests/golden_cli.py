@@ -36,6 +36,8 @@ CASES = {
     "price-full": ["price-full", "--N", "200"],
     "price-full-literal": ["price-full", "--N", "200", "--literal-pl-exponent"],
     "price-full-params-file": ["price-full", "--N", "100", "--params", "params.txt"],
+    # 2 layers x a widest window of 25,190 nodes, above sweep.SPLIT_MIN_ENTRIES (only an outsider sweep splits)
+    "price-full-above-split": ["price-full", "--N", "50000"],
     "price-partial-beliefs": ["price-partial", "--N", "100", "--L", "21", "--y0", "0", "--y0", "0.5",
                               "--y0", "0.5", "--y0", "1"],
     "price-partial-params-file": ["price-partial", "--N", "100", "--L", "21", "--params", "params.txt"],
@@ -81,6 +83,8 @@ CASES = {
     "error-smooth-degree-negative": ["boundary", "--N", "50", "--smooth", "--smooth-degree", "-1"],
     "error-x-min-negative": ["perpetual", "--x-min", "-10", "--x-max", "5", "--x-points", "3"],
     "error-x-max-negative": ["perpetual", "--x-max", "-1", "--x-points", "3"],
+    "error-x-min-nan": ["perpetual", "--x-min", "nan", "--x-points", "3"],
+    "error-x-max-inf": ["perpetual", "--x-max", "inf", "--x-points", "3"],
     "version": ["--version"],
     "help": ["--help"],
 }

@@ -269,8 +269,12 @@ def test_worker_error_keeps_exit_code_and_message(capsys, monkeypatch, cpus):
         (["boundary", "--N", "50", "--smooth", "--smooth-degree", "-1"], "--smooth-degree must be >= 0, got -1"),
         (["perpetual", "--x-min", "-10", "--x-max", "5", "--x-points", "3"], "--x-min must be >= 0, got -10.0"),
         (["perpetual", "--x-max", "-1", "--x-points", "3"], "--x-max must be >= 0, got -1.0"),
+        (["perpetual", "--x-min", "nan", "--x-points", "3"], "--x-min must be finite, got nan"),
+        (["perpetual", "--x-max", "inf", "--x-points", "3"], "--x-max must be finite, got inf"),
     ],
-    ids=["N", "L", "N-list", "L-list", "seed", "x-points", "smooth-degree", "x-min", "x-max"],
+    ids=[
+        "N", "L", "N-list", "L-list", "seed", "x-points", "smooth-degree", "x-min", "x-max", "x-min-nan", "x-max-inf"
+    ],
 )
 def test_bad_sizes_are_usage_errors_before_the_manifest(tmp_path, capsys, monkeypatch, argv, message):
     def no_pricing(*args, **kwargs):

@@ -3,11 +3,10 @@ from math import inf, log
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esocp import (
-    AdmissibilityError,
     NonFiniteResultError,
     _workers,
     build_lattice,
@@ -212,25 +211,24 @@ def test_group_roots_equal_price_full_bit_for_bit(lattice, drifts, n, literal):
     assert_same_outcomes(got, [alone(p, n, literal) for p in runs])
 
 
-@pytest.mark.skipif(_workers.usable_cpus() < 2, reason="one usable CPU")
 @settings(max_examples=20, deadline=None)
 @given(
     lattice=st.sampled_from(LATTICES),
     drifts=st.sampled_from([1, 3, 5]).flatmap(lambda c: st.lists(RUN, min_size=c, max_size=c)),
     n=st.integers(1, 200),
 )
-def test_group_roots_under_a_split_that_cuts_a_run(lattice, drifts, n):
+def test_group_roots_never_split(lattice, drifts, n):
+    # Even where every sweep may split, a group's sweep runs in this process.
     runs = group_of(lattice, drifts)
     want = [alone(p, n) for p in runs]
-    priced = sum(not isinstance(w, AdmissibilityError) for w in want)
-    assume(priced % 2 == 1)  # layers [0, C) and [C, 2C): run C // 2 is cut
     splits, real = [], sweep._split
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_workers, "can_fork", lambda: True)
         mp.setattr(sweep, "SPLIT_MIN_ENTRIES", -1)
         mp.setattr(sweep, "_split", lambda run: splits.append(run.n_layers) or real(run))
         got = price_full_roots(runs, n)
     assert_same_outcomes(got, want)
-    assert splits[0] == 2 * priced
+    assert splits == []
 
 
 def test_group_with_the_overflow_run_raises_or_returns_as_each_alone():

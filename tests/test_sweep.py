@@ -85,11 +85,11 @@ def test_long_horizon_insider_matches_full_width(split, bufsize, request):
     assert np.array_equal(got.boundary0, want["boundary0"])
     assert np.array_equal(got.boundary1, want["boundary1"])
     # The same run in the middle of a group of three, whose first run never
-    # exercises early (mu0 > r) and so widens the shared window to every node:
-    # a split at layer 3 cuts the run's two regime rows apart.
+    # exercises early (mu0 > r) and so widens the shared window to every node.
     runs = [replace(LONG_HORIZON, mu0=0.05), LONG_HORIZON, replace(LONG_HORIZON, lam=0.0)]
     assert price_full_roots(runs, LONG_HORIZON_N)[1] == (want["v0_root"], want["v1_root"])
-    assert splits == ([LONG_HORIZON_N, LONG_HORIZON_N] if split else [])
+    # the insider's sweeps never split, even when every sweep may
+    assert splits == []
 
 
 def scan_exercised_from(values, intrinsic):
@@ -255,7 +255,7 @@ def test_split_window_matches_full_width(case, n_steps, forced_split, monkeypatc
     assert (full.v0_root, full.v1_root) == (want_full["v0_root"], want_full["v1_root"])
     assert np.array_equal(full.boundary0, want_full["boundary0"])
     assert np.array_equal(full.boundary1, want_full["boundary1"])
-    assert forced_split == [n_steps, n_steps]
+    assert forced_split == [n_steps]  # the outsider's sweep only
     assert_no_child_left()
     monkeypatch.setattr(sweep, "SPLIT_MIN_ENTRIES", 10**18)
     assert got.node_steps == price_partial(params, n_steps, N_BELIEF, keep_slice_at=n_steps // 2).node_steps
@@ -290,7 +290,7 @@ def test_split_zero_trim_matches_full_width(forced_split):
     assert np.array_equal(full.boundary1, want_full["boundary1"])
     for name in ("root_layers", "surface", "slice_values", "slice_continuation"):
         assert np.array_equal(getattr(partial, name), want_partial[name]), name
-    assert forced_split == [UNDERFLOW_N, UNDERFLOW_N]
+    assert forced_split == [UNDERFLOW_N]  # the outsider's sweep only
 
 
 @pytest.mark.parametrize("n_belief", [2, 3, 21, 50])
@@ -381,6 +381,12 @@ def test_split_engages_only_for_wide_windows(monkeypatch):
         price_partial(BASE, 500, 101)
     with pytest.raises(Engaged):
         price_full(replace(BASE, maturity=100.0), 25000)
+    # nor is any insider sweep above SPLIT_MIN_ENTRIES: one run with 2 x 30,208
+    # entries, and three runs whose first widens the window to every node
+    with pytest.raises(Engaged):
+        price_full(BASE, 60000)
+    with pytest.raises(Engaged):
+        price_full_roots([replace(BASE, mu0=0.05), BASE, replace(BASE, lam=0.0)], 25000)
 
 
 def misbehave_at(monkeypatch, step, where, action):
