@@ -9,7 +9,7 @@ as the smallest in-the-money node price where stopping beats continuing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, inf
+from math import inf
 
 import numpy as np
 
@@ -70,16 +70,15 @@ class FullInfoResult:
 
 
 def _sweep_runs(
-    lattice: Lattice, params: ModelParams, qs: list[QMatrix], ps: list[RegimeReturnProbs], keep_boundaries: bool
+    lattice: Lattice, strike: float, qs: list[QMatrix], ps: list[RegimeReturnProbs], keep_boundaries: bool
 ) -> SweepResult:
     """One active-window sweep over the regime trees of C runs on ``lattice``.
 
-    The runs share the lattice, ``params``' strike and ``params``' rate; run c
-    brings its switching chain qs[c] and move probabilities ps[c].  Its two
+    The runs share the lattice (with its discount factor) and the strike; run
+    c brings its switching chain qs[c] and move probabilities ps[c].  Its two
     regime rows are layers 2c (high drift) and 2c + 1 (low drift).  The
     sweep names no ``child_rows``, so it always runs in one process.
     """
-    disc = exp(-params.r * lattice.h)
     up_probs = np.array([(p.p_up0, p.p_up1) for p in ps]).reshape(-1, 1)
     dw_probs = np.array([(p.p_dw0, p.p_dw1) for p in ps]).reshape(-1, 1)
     mix = np.array([(q.q00, q.q01) for q in qs]).reshape(-1, 1)
@@ -99,14 +98,13 @@ def _sweep_runs(
         out += tmp
         np.multiply(mix, out, out=tmp)
         np.add(tmp[0::2], tmp[1::2], out=out[0::2])
-        out *= disc
+        out *= lattice.disc
 
     sure_up = [(q.q00 * p.p_up0 + q.q01 * p.p_up1, p.p_up1) for q, p in zip(qs, ps)]
     sure_dw = [(q.q00 * p.p_dw0 + q.q01 * p.p_dw1, p.p_dw1) for q, p in zip(qs, ps)]
     return backward_sweep(
         lattice,
-        params.strike,
-        disc,
+        strike,
         np.array(sure_up).ravel(),
         np.array(sure_dw).ravel(),
         continuation,
@@ -130,7 +128,7 @@ def price_full(
     lattice = build_lattice(params, n_steps)
     q = transition_matrix(params.lam, lattice.h)
     p = regime_return_probs(params, lattice, literal_exponent)
-    run = _sweep_runs(lattice, params, [q], [p], keep_boundaries)
+    run = _sweep_runs(lattice, params.strike, [q], [p], keep_boundaries)
     v0_root, v1_root = (float(v) for v in run.root)
     check_finite("full-information root value", (v0_root, v1_root))
 
@@ -179,7 +177,7 @@ def price_full_roots(
     priced = [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, ValueError)]
     if priced:
         qs, ps = zip(*(outcomes[i] for i in priced))
-        root = _sweep_runs(lattice, runs[0], qs, ps, keep_boundaries=False).root
+        root = _sweep_runs(lattice, runs[0].strike, qs, ps, keep_boundaries=False).root
         for c, i in enumerate(priced):
             outcomes[i] = float(root[2 * c]), float(root[2 * c + 1])
             if not np.all(np.isfinite(outcomes[i])):
@@ -213,7 +211,7 @@ def price_european_reference(
     lattice = build_lattice(params, n_steps)
     q = transition_matrix(params.lam, lattice.h)
     p = regime_return_probs(params, lattice, literal_exponent)
-    disc = exp(-params.r * lattice.h)
+    disc = lattice.disc
 
     v0 = np.maximum(lattice.level_prices(n_steps) - params.strike, 0.0)
     v1 = v0.copy()

@@ -3,12 +3,13 @@
 The stock moves on a recombining binomial tree with up factor exp(sigma*sqrt(h))
 and reciprocal down factor.  The drift regime follows a two-state chain with a
 single absorbing switch; the move probability within a step is conditioned on
-the regime prevailing at the *end* of that step.
+the regime prevailing at the *end* of that step.  ``build_lattice`` makes the
+one discretisation (step, discount factor, node prices) every engine reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import exp, sqrt
 
 import numpy as np
@@ -40,19 +41,16 @@ class Lattice:
     up: float  # exp(sigma*sqrt(h))
     dw: float  # 1/up
     spot: float
+    disc: float  # one-step discount factor exp(-r*h)
+    # The ladder spot*up**m, m = -N..N, as its even and odd entries, read-only;
+    # node (k, j) is entry N - k + 2j.  Prices beyond the float range are inf,
+    # and the roots of a sweep that reads them fail their finiteness check.
+    prices: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
 
     def level_prices(self, k: int) -> np.ndarray:
-        """All node prices at step k, ascending in j."""
-        return self.spot * self.up ** (2.0 * np.arange(k + 1) - k)
-
-    def price_ladder(self) -> np.ndarray:
-        """spot * up**m for m = -N..N; level_prices(k) is the slice [N-k : N+k+1 : 2].
-
-        Entries beyond the float range are inf; the sweeps only read them if
-        such a node is ever swept, and then the root fails its finiteness check.
-        """
-        with np.errstate(over="ignore"):
-            return self.spot * self.up ** np.arange(-self.n_steps, self.n_steps + 1, dtype=float)
+        """All node prices at step k, ascending in j (a read-only view)."""
+        start = self.n_steps - k
+        return self.prices[start % 2][start // 2 : start // 2 + k + 1]
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,11 @@ def build_lattice(params: ModelParams, n_steps: int) -> Lattice:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     h = params.maturity / n_steps
     up = exp(params.sigma * sqrt(h))
-    return Lattice(n_steps=n_steps, h=h, up=up, dw=1.0 / up, spot=params.spot)
+    with np.errstate(over="ignore"):
+        prices = tuple(params.spot * up ** np.arange(m, n_steps + 1, 2, dtype=float) for m in (-n_steps, 1 - n_steps))
+    for ladder in prices:
+        ladder.flags.writeable = False
+    return Lattice(n_steps, h, up, 1.0 / up, params.spot, exp(-h * params.r), prices)
 
 
 def transition_matrix(lam: float, h: float) -> QMatrix:

@@ -103,6 +103,7 @@ def parse_rate(text: str) -> float:
 def load_params(path: str | Path) -> ModelParams:
     """Load params from flat key=value text (one key per line, '#' comments)."""
     values: dict[str, float] = {}
+    given_on: dict[str, int] = {}  # key -> the line that gave it
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -116,6 +117,9 @@ def load_params(path: str | Path) -> ModelParams:
                 f"{path}:{lineno}: unknown key {key!r} (expected one of "
                 f"{', '.join(sorted(PARAM_KEYS))})"
             )
+        if key in given_on:
+            raise ParameterError(f"{path}:{lineno}: repeated key {key!r} (first given on line {given_on[key]})")
+        given_on[key] = lineno
         try:
             values[PARAM_KEYS[key]] = parse_rate(text)
         except ValueError as exc:

@@ -12,7 +12,6 @@ oracle the grid scheme is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp
 
 import numpy as np
 
@@ -86,7 +85,7 @@ def price_partial(
     q = transition_matrix(params.lam, lattice.h)
     p = regime_return_probs(params, lattice, literal_exponent)
     grid = build_grid(n_belief, q, p)
-    disc = exp(-params.r * lattice.h)
+    disc = lattice.disc
 
     p_up = np.asarray(predict_return_prob(grid.points, q, p, True))
     p_dw = np.asarray(predict_return_prob(grid.points, q, p, False))
@@ -124,7 +123,6 @@ def price_partial(
     run = backward_sweep(
         lattice,
         params.strike,
-        disc,
         p_up,
         p_dw,
         continuation,
@@ -169,8 +167,6 @@ def price_partial_exact(
     lattice = build_lattice(params, n_steps)
     q = transition_matrix(params.lam, lattice.h)
     p = regime_return_probs(params, lattice, literal_exponent)
-    disc = exp(-params.r * lattice.h)
-    strike = params.strike
 
     # Forward pass: per level, the belief and up-move count of every path,
     # ordered so state s at level k has children 2s (up) and 2s+1 (down).
@@ -189,13 +185,12 @@ def price_partial_exact(
         up_counts.append(jn)
 
     def intrinsic_at(level: int) -> np.ndarray:
-        prices = lattice.spot * lattice.up ** (2.0 * up_counts[level] - level)
-        return np.maximum(prices - strike, 0.0)
+        return np.maximum(lattice.level_prices(level)[up_counts[level]] - params.strike, 0.0)
 
     value = intrinsic_at(n_steps)
     for k in range(n_steps - 1, -1, -1):
         pu = np.asarray(predict_return_prob(beliefs[k], q, p, True))
-        cont = disc * (pu * value[0::2] + (1.0 - pu) * value[1::2])
+        cont = lattice.disc * (pu * value[0::2] + (1.0 - pu) * value[1::2])
         value = np.maximum(intrinsic_at(k), cont)
     return float(value[0])
 

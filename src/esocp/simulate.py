@@ -102,7 +102,7 @@ def simulate_joint_path(
 
     ups = draws[_ROWS_BEFORE_MOVES:] < np.where(regime[1:] == 1, p.p_up1, p.p_up0)
     j = np.concatenate(([0], np.cumsum(ups)))
-    stock = lattice.price_ladder()[2 * j - np.arange(n + 1) + n]
+    stock = np.array([lattice.level_prices(k)[jk] for k, jk in enumerate(j)])
 
     beliefs: dict[float, np.ndarray] = {}
     for y0 in belief_starts:
@@ -270,16 +270,15 @@ def replay_draws(
     """Replay every policy on the paths of a step-major (N + 2, M) uniform matrix.
 
     Column i is one path, its rows used as in the module docstring.  Each
-    step runs over all paths at once: stock prices are read from the price
-    ladder and only the realised branch of the filter is evaluated (the
-    operations of ``update_belief``, in its order).  A threshold is only
-    evaluated, and a belief bracketed, on live paths whose stock reaches the
-    lowest threshold the step can have.
+    step runs over all paths at once: stock prices are read from
+    ``Lattice.level_prices`` and only the realised branch of the filter is
+    evaluated (the operations of ``update_belief``, in its order).  A
+    threshold is only evaluated, and a belief bracketed, on live paths whose
+    stock reaches the lowest threshold the step can have.
     """
     params, lattice, q, p = full_result.params, full_result.lattice, full_result.q, full_result.p
     n = lattice.n_steps
     m = draws.shape[1]
-    ladder = lattice.price_ladder()
     b0, b1 = full_result.boundary(0), full_result.boundary(1)
     surface = partial_result.surface
     # An interpolated threshold is at least the smaller of its two layers up to
@@ -308,7 +307,7 @@ def replay_draws(
             prices[agent][hit] = stock[hit]
 
     for k in range(n + 1):
-        stock = ladder[n - k :: 2][j]  # ladder[2j - k + N]
+        stock = lattice.level_prices(k)[j]
         exercise("insider", k, min(b0[k], b1[k]), lambda c: np.where(switch[c] <= k, b1[k], b0[k]))
         for agent, y in zip(agents[1:], beliefs):
             exercise(

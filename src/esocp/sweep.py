@@ -27,9 +27,9 @@ exercise thresholds are bit-identical to sweeping every node.
 Each step's window values, child values and continuations are compact views
 into buffers the sweep allocates once and reuses: arrays allocated and freed
 every step made the allocator hand pages back to the system and fault them
-in again.  Node prices and payoffs are kept as two parity ladders, one for
-the even and one for the odd ladder indices, so a step's intrinsic values
-and its children's intrinsic edge are contiguous slices.
+in again.  Node prices are the lattice's parity ladders (``Lattice.prices``)
+and the payoffs are kept the same way, so a step's intrinsic values and its
+children's intrinsic edge are contiguous slices.
 
 A step updates a range of layers over the whole window in one call: the
 pricer's continuation works through those rows in blocks of whole rows.
@@ -112,11 +112,16 @@ class SweepResult:
     node_steps: int  # layer-node updates performed
 
 
-def _sure_exercise_index(
-    lattice: Lattice, ladder: np.ndarray, strike: float, disc: float, p_up: np.ndarray, p_dw: np.ndarray, itm: int
-) -> int:
+def _ladder_index(prices: tuple[np.ndarray, np.ndarray], value: float, side: str) -> int:
+    """``np.searchsorted`` over the ladder held as its parity ladders: the first
+    index whose price is >= value (side "left") or > value ("right"), else 2N + 1."""
+    even, odd = (int(np.searchsorted(ladder, value, side)) for ladder in prices)
+    return min(2 * even, 2 * odd + 1)
+
+
+def _sure_exercise_index(lattice: Lattice, strike: float, p_up, p_dw, itm: int) -> int:
     """Smallest ladder index at which a node with both children exercised in
-    every layer is itself exercised in every layer (ladder.size if none).
+    every layer is itself exercised in every layer (2N + 1 if none).
 
     With children S*up - K and S*dw - K (the down child in the money, so the
     node's index is at least itm + 1), layer l continues at
@@ -126,11 +131,12 @@ def _sure_exercise_index(
     at all, so one price threshold (searched in the ascending ladder) covers
     every step.
     """
+    disc = lattice.disc
     slope = 1.0 - disc * (p_up * lattice.up + p_dw * lattice.dw) - SURE_EXERCISE_MARGIN
     if np.any(slope <= 0.0):
-        return ladder.size
+        return 2 * lattice.n_steps + 1
     price = float(np.max(strike * (1.0 - disc * (p_up + p_dw)) / slope))
-    return max(itm + 1, int(np.searchsorted(ladder, price)))
+    return max(itm + 1, _ladder_index(lattice.prices, price, "left"))
 
 
 def _exercised_from(values: np.ndarray, intrinsic: np.ndarray, chunk: int = 16) -> int:
@@ -182,17 +188,12 @@ def _rung(ladders: tuple[np.ndarray, np.ndarray], index: int, count: int) -> np.
 class _Sweep:
     """One backward induction: the lattice's geometry and the update of a layer range."""
 
-    def __init__(
-        self, lattice, strike, disc, p_up, p_dw, continuation, child_rows, thresholds, keep_slice_at
-    ):
+    def __init__(self, lattice, strike, p_up, p_dw, continuation, child_rows, thresholds, keep_slice_at):
         self.n = lattice.n_steps
         self.n_layers = p_up.size
-        ladder = lattice.price_ladder()  # node (k, j) sits at index n - k + 2j
-        above = ladder > strike
-        self.itm = int(np.argmax(above)) if above.any() else ladder.size  # prices below index itm are <= K
-        self.cut = _sure_exercise_index(lattice, ladder, strike, disc, p_up, p_dw, self.itm)
-        self.prices = ladder[0::2].copy(), ladder[1::2].copy()  # the parity ladders
-        del ladder, above  # the payoffs are built without them: less memory at once at large N
+        self.prices = lattice.prices  # node (k, j) sits at ladder index n - k + 2j
+        self.itm = _ladder_index(self.prices, strike, "right")  # prices below ladder index itm are <= K
+        self.cut = _sure_exercise_index(lattice, strike, p_up, p_dw, self.itm)
         self.payoff = tuple(np.maximum(prices - strike, 0.0) for prices in self.prices)
         self.strike = strike
         self.continuation = continuation
@@ -455,7 +456,6 @@ def _split(sweep: _Sweep) -> SweepResult:
 def backward_sweep(
     lattice: Lattice,
     strike: float,
-    disc: float,
     p_up: np.ndarray,
     p_dw: np.ndarray,
     continuation: Callable[[np.ndarray, np.ndarray, tuple[int, int]], None],
@@ -494,9 +494,7 @@ def backward_sweep(
         # does not.
         callers = np.setbufsize(UFUNC_BUFFER)
         try:
-            sweep = _Sweep(
-                lattice, strike, disc, p_up, p_dw, continuation, child_rows, thresholds, keep_slice_at
-            )
+            sweep = _Sweep(lattice, strike, p_up, p_dw, continuation, child_rows, thresholds, keep_slice_at)
             wide = sweep.n_layers * sweep.widest() > SPLIT_MIN_ENTRIES
             if wide and child_rows is not None and _workers.can_fork():
                 return _split(sweep)

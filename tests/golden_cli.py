@@ -30,6 +30,8 @@ import sys
 from pathlib import Path
 
 PARAM_FILE = "mu0=2%\nmu1=-2%\nsigma=30%\nlambda=10%\nr=2.5%\nstrike=100\nmaturity=10\nspot=100\ny0=0.3\n"
+# PARAM_FILE with a second, different mu0 line
+REPEATED_KEY_FILE = PARAM_FILE + "mu0=8%\n"
 
 # name -> argv; a name ending in "@one-cpu" runs on one CPU of this process's affinity mask.
 CASES = {
@@ -61,6 +63,7 @@ CASES = {
     "converge": ["converge", "--N-list", "40", "80", "--L-list", "5", "11", "--N", "40", "--L", "11"],
     "converge-one-row": ["converge", "--N-list", "40", "--L-list", "5", "--N", "40", "--L", "5"],
     "error-missing-params-file": ["price-full", "--params", "missing.txt"],
+    "error-params-repeated-key": ["price-full", "--N", "100", "--params", "repeated.txt"],
     "error-domain": ["price-full", "--N", "50", "--mu1", "3%"],
     "error-belief-price-partial": ["price-partial", "--y0", "1.5"],
     "error-belief-simulate": ["simulate", "--y0", "1.5"],
@@ -106,6 +109,8 @@ def run_case(src: Path, work: Path, argv: list[str], pinned: bool) -> None:
     work.mkdir(parents=True)
     if "params.txt" in argv:
         (work / "params.txt").write_text(PARAM_FILE)
+    if "repeated.txt" in argv:
+        (work / "repeated.txt").write_text(REPEATED_KEY_FILE)
     env = {**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"}
     env.pop("PYTHONWARNINGS", None)
     done = subprocess.run(

@@ -2,8 +2,9 @@
 
 Deliberately plain implementations: a single-regime CRR pricer written from
 scratch (no package imports), an Euler scheme for the likelihood-ratio SDE,
-the full-width backward sweeps of both lattice pricers, and a path-at-a-time
-Monte Carlo replay.  The full-width sweeps take their lattice, chain and
+the full-width backward sweeps of both lattice pricers, a path-at-a-time
+Monte Carlo replay, and the value of the grid's exercise policy on the exact
+belief tree.  The full-width sweeps take their lattice, chain and
 belief grid from the package but update every node of every step, so they
 check the active-window sweeps bit for bit; the path-at-a-time replay checks
 the vectorised replay engine the same way on identical uniforms.
@@ -18,6 +19,7 @@ import numpy as np
 from esocp.filtering import _EXACT_HIT_TOL, build_grid, predict_return_prob, update_belief
 from esocp.full_info import first_exercise_prices
 from esocp.lattice import build_lattice, regime_return_probs, transition_matrix
+from esocp.simulate import surface_threshold
 
 
 def crr_american_call(
@@ -199,3 +201,32 @@ def path_at_a_time_replay(full, partial, uniforms: np.ndarray, belief_starts) ->
                     y = update_belief(y, ups[k], q, p)
             record(agent, i, step, stock)
     return out
+
+
+def tree_policy_value(partial) -> float:
+    """Value of the grid's own exercise policy on the exact 2^N belief tree.
+
+    Every move sequence carries its exact filtered belief from
+    ``partial.params.y0``.  A node exercises when its stock spot*up**(2j - k)
+    is at or above ``surface_threshold(surface[k], partial, y)`` at its belief
+    y, as the replay does, and the two branches of a node are weighted by the
+    exact ``predict_return_prob``.  A stopping rule on the tree that
+    ``price_partial_exact`` solves, so never above it.
+    """
+    params, lattice, q, p = partial.params, partial.lattice, partial.q, partial.p
+    n = lattice.n_steps
+    # state s at level k has children 2s (up) and 2s + 1 (down) at level k + 1
+    beliefs, ups = [np.array([params.y0])], [np.zeros(1, dtype=np.int64)]
+    for k in range(n):
+        y = beliefs[k]
+        beliefs.append(np.column_stack((update_belief(y, True, q, p), update_belief(y, False, q, p))).ravel())
+        ups.append(np.column_stack((ups[k] + 1, ups[k])).ravel())
+    disc = exp(-params.r * lattice.h)
+    value = np.zeros(2 ** (n + 1))  # nothing after maturity
+    for k in range(n, -1, -1):
+        pu = np.asarray(predict_return_prob(beliefs[k], q, p, True))
+        cont = disc * (pu * value[0::2] + (1.0 - pu) * value[1::2]) if k < n else 0.0
+        stock = lattice.spot * lattice.up ** (2.0 * ups[k] - k)
+        stop = stock >= surface_threshold(partial.surface[k], partial, beliefs[k])
+        value = np.where(stop, np.maximum(stock - params.strike, 0.0), cont)
+    return float(value[0])

@@ -41,6 +41,38 @@ def test_level_prices_increasing():
         assert np.all(np.diff(lat.level_prices(k)) > 0)
 
 
+# BASE at N = 1 .. 25,000, the 100-year insider's lattice, and a lattice
+# whose top prices overflow to inf
+LADDER_CASES = [pytest.param(BASE, n, id=f"N{n}") for n in (1, 50, 500, 2500, 25000)] + [
+    pytest.param(replace(BASE, maturity=100.0), 25000, id="T100-N25000"),
+    pytest.param(replace(BASE, sigma=2.0, maturity=100.0), 1500, id="overflow-N1500"),
+]
+
+
+@pytest.mark.parametrize("params, n", LADDER_CASES)
+def test_level_prices_equal_the_power_formula_bit_for_bit(params, n):
+    # the parity ladders the lattice builds once give each step the very
+    # floats spot*up**(2j - k) computed on their own
+    lat = build_lattice(params, n)
+    ks = range(n + 1) if n <= 2500 else sorted({*range(0, n + 1, 997), 1, 2, n // 2, n - 2, n - 1, n})
+    with np.errstate(over="ignore"):
+        for k in ks:
+            want = lat.spot * lat.up ** (2.0 * np.arange(k + 1) - k)
+            assert lat.level_prices(k).tobytes() == want.tobytes(), k
+    assert [ladder.size for ladder in lat.prices] == [n + 1, n]
+    assert lat.disc == exp(-params.r * lat.h)
+
+
+def test_node_prices_are_read_only():
+    # every run of a price_full_roots group reads these same arrays, and every
+    # result keeps them
+    lat = build_lattice(BASE, 50)
+    for view in (*lat.prices, lat.level_prices(0), lat.level_prices(17), lat.level_prices(50)):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 1.0
+    assert np.isinf(build_lattice(replace(BASE, sigma=2.0, maturity=100.0), 1500).prices[0][-1])
+
+
 def test_degenerate_volatility_limit():
     p = replace(BASE, sigma=1e-10)
     lat = build_lattice(p, 1)

@@ -83,6 +83,10 @@ def test_load_params_errors(tmp_path):
     f.write_text("mu0=banana\n")
     with pytest.raises(ParameterError, match="bad value"):
         load_params(f)
+    # a repeated key would silently override the earlier line
+    f.write_text("mu0=2%\n# later\n mu0 = 8%\n")
+    with pytest.raises(ParameterError, match=r"bad\.txt:3: repeated key 'mu0' \(first given on line 1\)"):
+        load_params(f)
 
 
 def test_load_params_y0_optional(tmp_path):

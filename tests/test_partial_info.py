@@ -19,7 +19,7 @@ from esocp import (
 )
 
 from conftest import BASE, PRODUCTION_N
-from reference import crr_american_call
+from reference import crr_american_call, tree_policy_value
 
 
 def test_single_step_closed_form():
@@ -238,3 +238,18 @@ def test_grid_bounds_exact_from_above_and_sits_between_insider_values(case):
     assert grid >= exact - ORACLE_SLACK * exact
     full = price_full(params, n_steps, keep_boundaries=False)
     assert full.v1_root - ORACLE_SLACK * full.v1_root <= grid <= full.v0_root + ORACLE_SLACK * full.v0_root
+
+
+@pytest.mark.parametrize("params", [pytest.param(BASE, id="base"), pytest.param(replace(BASE, lam=2.0), id="lam2")])
+@pytest.mark.parametrize("n_belief", [5, 21, 101])
+@pytest.mark.parametrize("y0", [0.0, 0.5])
+def test_grid_policy_on_the_exact_tree_is_below_exact(params, n_belief, y0):
+    # The grid's exercise policy, followed on the exact belief tree, is one
+    # stopping rule there; price_partial_exact is the best one, and the grid
+    # bounds it from above: policy <= exact <= grid.
+    params = replace(params, y0=y0)
+    for n_steps in (1, 2, 3, 7, 12):
+        partial = price_partial(params, n_steps, n_belief, keep_surface=True)
+        policy, exact, grid = tree_policy_value(partial), price_partial_exact(params, n_steps), partial.root_at(y0)
+        assert policy <= exact + ORACLE_SLACK * max(1.0, exact), n_steps
+        assert exact <= grid + ORACLE_SLACK * max(1.0, grid), n_steps

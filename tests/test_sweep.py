@@ -181,7 +181,7 @@ def test_zero_run_is_trimmed_without_changing_a_bit(monkeypatch):
         assert np.array_equal(getattr(partial, name), want_partial[name]), name
     # the retained slice has far more zero nodes than never-in-the-money ones
     k = UNDERFLOW_N // 2
-    best_at_maturity = full.lattice.price_ladder()[2 * (UNDERFLOW_N - k + np.arange(k + 1))]
+    best_at_maturity = full.lattice.prices[0][UNDERFLOW_N - k :]  # ladder entries 2 * (N - k + j)
     never_in_the_money = np.count_nonzero(best_at_maturity <= UNDERFLOW.strike)
     assert np.count_nonzero(np.all(partial.slice_values == 0.0, axis=0)) > never_in_the_money + 100
 
