@@ -63,9 +63,7 @@ def _resolve_params(args: argparse.Namespace) -> ModelParams:
         for field in PARAM_KEYS.values()
         if field != "y0" and getattr(args, field) is not None
     }
-    if overrides:
-        params = replace(params, **overrides)
-    return validate(params)
+    return validate(replace(params, **overrides, literal_exponent=args.literal_pl_exponent))
 
 
 class UsageError(Exception):
@@ -129,18 +127,18 @@ def _check_beliefs(beliefs) -> None:
             raise UsageError(f"--y0 must lie in [0, 1], got {y0}")
 
 
-def _roots(job: tuple[ModelParams, int, int, bool, bool]) -> tuple[float, ...]:
+def _roots(job: tuple[ModelParams, int, int, bool]) -> tuple[float, ...]:
     """Root values of one run: v0, v1 (insider runs only), u(0), u(0.5).
 
-    job is (params, N, L, literal_exponent, insider). Plain floats, so a
-    worker sends back only these and not the priced arrays.
+    job is (params, N, L, insider). Plain floats, so a worker sends back
+    only these and not the priced arrays.
     """
-    params, n, l, literal_exponent, insider = job
+    params, n, l, insider = job
     v = ()
     if insider:
-        full = price_full(params, n, literal_exponent=literal_exponent, keep_boundaries=False)
+        full = price_full(params, n, keep_boundaries=False)
         v = (float(full.v0_root), float(full.v1_root))
-    partial = price_partial(params, n, l, literal_exponent=literal_exponent)
+    partial = price_partial(params, n, l)
     return v + (float(partial.root_at(0.0)), float(partial.root_at(0.5)))
 
 
@@ -170,7 +168,7 @@ def _write_boundary(out: _Output, name: str, result: FullInfoResult, smooth_degr
 def cmd_price_full(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
     out = _Output(args, "price-full", params, N=args.N, literal_pl_exponent=args.literal_pl_exponent)
-    result = price_full(params, args.N, literal_exponent=args.literal_pl_exponent)
+    result = price_full(params, args.N)
     print(f"v0 = {result.v0_root:.6f}")
     print(f"v1 = {result.v1_root:.6f}")
     _write_boundary(out, "boundary.csv", result)
@@ -185,7 +183,7 @@ def cmd_price_partial(args: argparse.Namespace) -> int:
         args, "price-partial", params, N=args.N, L=args.L,
         y0_list=",".join(_fmt(y) for y in y0_list), literal_pl_exponent=args.literal_pl_exponent,
     )
-    result = price_partial(params, args.N, args.L, literal_exponent=args.literal_pl_exponent)
+    result = price_partial(params, args.N, args.L)
     rows = []
     for y0 in y0_list:
         value = result.root_at(y0)
@@ -200,7 +198,7 @@ def cmd_boundary(args: argparse.Namespace) -> int:
     out = _Output(
         args, "boundary", params, N=args.N, literal_pl_exponent=args.literal_pl_exponent, smooth=args.smooth
     )
-    result = price_full(params, args.N, literal_exponent=args.literal_pl_exponent)
+    result = price_full(params, args.N)
     _write_boundary(out, "boundary.csv", result)
     if args.smooth:
         _write_boundary(out, "boundary_smoothed.csv", result, args.smooth_degree)
@@ -213,9 +211,7 @@ def cmd_boundary(args: argparse.Namespace) -> int:
 def cmd_surface(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
     out = _Output(args, "surface", params, N=args.N, L=args.L, literal_pl_exponent=args.literal_pl_exponent)
-    result = price_partial(
-        params, args.N, args.L, literal_exponent=args.literal_pl_exponent, keep_surface=True
-    )
+    result = price_partial(params, args.N, args.L, keep_surface=True)
     h = result.lattice.h
 
     def rows():
@@ -282,10 +278,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         export_paths=n_export, belief_starts=",".join(_fmt(y) for y in belief_starts), rng=RNG_NAME,
         literal_pl_exponent=args.literal_pl_exponent,
     )
-    full = price_full(params, args.N, literal_exponent=args.literal_pl_exponent)
-    partial = price_partial(
-        params, args.N, args.L, literal_exponent=args.literal_pl_exponent, keep_surface=True
-    )
+    full = price_full(params, args.N)
+    partial = price_partial(params, args.N, args.L, keep_surface=True)
     if out.out_dir is not None:
         _export_paths(out, params, full, partial, args.seed, n_export, belief_starts)
     results = replay_batch(full, partial, args.paths, args.seed, belief_starts)
@@ -326,15 +320,14 @@ def cmd_table1(args: argparse.Namespace) -> int:
         for mu0 in TABLE1_MU0
         for mu1 in TABLE1_MU1
     ]
-    literal = args.literal_pl_exponent
     groups: dict[ModelParams, list[ModelParams]] = {}
     for cell in cells:
         groups.setdefault(replace(cell, mu0=0.0, mu1=0.0, lam=0.0), []).append(cell)
     # The insiders of the cells that share a lattice are one job; these go
     # first, then one outsider job per cell.  A group returns a failing run's
     # error as a value, so each error is raised when its cell comes up.
-    jobs = [functools.partial(price_full_roots, members, args.N, literal) for members in groups.values()]
-    jobs += [functools.partial(_roots, (cell, args.N, args.L, literal, False)) for cell in cells]
+    jobs = [functools.partial(price_full_roots, members, args.N) for members in groups.values()]
+    jobs += [functools.partial(_roots, (cell, args.N, args.L, False)) for cell in cells]
     results = ordered_map(_call, jobs)
     print(f"{'mu0':>5} {'mu1':>5} {'sigma':>6} {'lambda':>6}   {'v0':>7} {'v1':>7} {'u(0)':>7} {'u(0.5)':>7}")
     insiders = {}
@@ -364,9 +357,8 @@ def cmd_converge(args: argparse.Namespace) -> int:
         L_list=",".join(str(l) for l in args.L_list), L=args.L, N=args.N,
         literal_pl_exponent=args.literal_pl_exponent,
     )
-    literal = args.literal_pl_exponent
-    jobs = [(params, n, args.L, literal, True) for n in args.N_list]
-    jobs += [(params, args.N, l, literal, False) for l in args.L_list]
+    jobs = [(params, n, args.L, True) for n in args.N_list]
+    jobs += [(params, args.N, l, False) for l in args.L_list]
     # One pool for both tables; each zip stops at the end of its own list
     # before asking the shared iterator for another result.
     results = ordered_map(_roots, jobs)

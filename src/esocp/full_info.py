@@ -33,19 +33,16 @@ EXERCISE_TIE_TOL = 1e-12
 
 def first_exercise_prices(
     prices: np.ndarray, strike: float, intrinsic: np.ndarray, continuation: np.ndarray
-) -> np.ndarray | float:
+) -> np.ndarray:
     """Smallest in-the-money node price where intrinsic >= continuation.
 
-    ``prices`` ascend over n_nodes >= 1 nodes.  ``continuation`` may be
-    (n_nodes,) for a single slice or (m, n_nodes) for m independent slices;
-    returns a float or an (m,) array, +inf where no node exercises.
+    ``prices`` ascend over n_nodes >= 1 nodes and ``continuation`` is
+    (m, n_nodes), m independent slices; returns an (m,) array, +inf where no
+    node of a slice exercises.
     """
     exercised = intrinsic >= continuation - EXERCISE_TIE_TOL * np.maximum(1.0, intrinsic)
     if prices[0] <= strike:  # the sweep passes in-the-money nodes only
         exercised &= prices > strike
-    if continuation.ndim == 1:
-        first = int(np.argmax(exercised))
-        return float(prices[first]) if exercised[first] else inf
     first = np.argmax(exercised, axis=1)  # 0 in a row with no exercised node
     return np.where((first > 0) | exercised[:, 0], prices[first], inf)
 
@@ -112,12 +109,7 @@ def _sweep_runs(
     )
 
 
-def price_full(
-    params: ModelParams,
-    n_steps: int,
-    literal_exponent: bool = False,
-    keep_boundaries: bool = True,
-) -> FullInfoResult:
+def price_full(params: ModelParams, n_steps: int, keep_boundaries: bool = True) -> FullInfoResult:
     """Value the option under full information on an N-step lattice.
 
     v(k, x, i) = max{(x-K)+, disc * sum_j q_ij [p_up,j v(k+1, x*up, j)
@@ -127,7 +119,7 @@ def price_full(
     """
     lattice = build_lattice(params, n_steps)
     q = transition_matrix(params.lam, lattice.h)
-    p = regime_return_probs(params, lattice, literal_exponent)
+    p = regime_return_probs(params, lattice)
     run = _sweep_runs(lattice, params.strike, [q], [p], keep_boundaries)
     v0_root, v1_root = (float(v) for v in run.root)
     check_finite("full-information root value", (v0_root, v1_root))
@@ -149,15 +141,14 @@ def price_full(
     )
 
 
-def price_full_roots(
-    runs: list[ModelParams], n_steps: int, literal_exponent: bool = False
-) -> list[tuple[float, float] | ValueError]:
+def price_full_roots(runs: list[ModelParams], n_steps: int) -> list[tuple[float, float] | ValueError]:
     """The (v0, v1) roots of full-information runs on one lattice, in one sweep.
 
     The runs must share sigma, maturity, spot (the lattice), strike and r;
-    mu0, mu1 and lam may differ.  Each run's roots are bit for bit those of
-    ``price_full``: a sweep's values do not depend on its window, so the wider
-    window the runs share changes none of them.  A run that ``price_full``
+    mu0, mu1, lam and the growth convention may differ, since each run's move
+    probabilities are built from its own params.  Each run's roots are bit
+    for bit those of ``price_full``: a sweep's values do not depend on its
+    window, so the wider window the runs share changes none of them.  A run that ``price_full``
     rejects (inadmissible probabilities, a root that is not finite) gets the
     error ``price_full`` raises in place of its roots, and the other runs are
     priced as if it were not there.
@@ -171,7 +162,7 @@ def price_full_roots(
     for params in runs:
         try:
             q = transition_matrix(params.lam, lattice.h)
-            outcomes.append((q, regime_return_probs(params, lattice, literal_exponent)))
+            outcomes.append((q, regime_return_probs(params, lattice)))
         except ValueError as exc:
             outcomes.append(exc)
     priced = [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, ValueError)]
@@ -186,7 +177,7 @@ def price_full_roots(
                 # run's own window takes as exercised, and then the run's root
                 # is not finite.  Price such a run on its own.
                 try:
-                    full = price_full(runs[i], n_steps, literal_exponent, keep_boundaries=False)
+                    full = price_full(runs[i], n_steps, keep_boundaries=False)
                     outcomes[i] = full.v0_root, full.v1_root
                 except NonFiniteResultError as exc:
                     outcomes[i] = exc
@@ -198,7 +189,6 @@ def price_european_reference(
     n_steps: int,
     regime: int | None = None,
     y0: float | None = None,
-    literal_exponent: bool = False,
 ) -> float:
     """Discounted expectation of the terminal payoff on the same lattice.
 
@@ -210,7 +200,7 @@ def price_european_reference(
         raise ValueError("specify exactly one of regime or y0")
     lattice = build_lattice(params, n_steps)
     q = transition_matrix(params.lam, lattice.h)
-    p = regime_return_probs(params, lattice, literal_exponent)
+    p = regime_return_probs(params, lattice)
     disc = lattice.disc
 
     v0 = np.maximum(lattice.level_prices(n_steps) - params.strike, 0.0)

@@ -4,13 +4,15 @@ The stock moves on a recombining binomial tree with up factor exp(sigma*sqrt(h))
 and reciprocal down factor.  The drift regime follows a two-state chain with a
 single absorbing switch; the move probability within a step is conditioned on
 the regime prevailing at the *end* of that step.  ``build_lattice`` makes the
-one discretisation (step, discount factor, node prices) every engine reads.
+one discretisation (step, discount factor, node prices) every engine reads;
+the per-step growth factor behind the move probabilities is the model input
+``ModelParams.literal_exponent``, read only by ``regime_return_probs``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import exp, sqrt
+from math import exp, inf, sqrt
 
 import numpy as np
 
@@ -95,31 +97,26 @@ def transition_matrix(lam: float, h: float) -> QMatrix:
     return QMatrix(q00=q00, q01=1.0 - q00)
 
 
-def _max_admissible_h(mu: float, sigma: float, literal_exponent: bool) -> float:
-    # Default exponent mu*h:  |mu|*h < sigma*sqrt(h)  <=>  h < (sigma/|mu|)^2.
-    # Literal exponent mu*sqrt(h): admissible iff |mu| < sigma, for every h.
-    if mu == 0.0:
-        return float("inf")
-    if literal_exponent:
-        return float("inf") if abs(mu) < sigma else 0.0
-    return (sigma / abs(mu)) ** 2
-
-
-def regime_return_probs(
-    params: ModelParams, lattice: Lattice, literal_exponent: bool = False
-) -> RegimeReturnProbs:
+def regime_return_probs(params: ModelParams, lattice: Lattice) -> RegimeReturnProbs:
     """Per-regime move probabilities on the lattice.
 
     By default the one-step growth factor is exp(mu_i*h), which matches the
     one-step expected simple return of the continuous dynamics exactly.  With
-    ``literal_exponent`` the growth factor is exp(mu_i*sqrt(h)) instead.
+    ``params.literal_exponent`` the growth factor is exp(mu_i*sqrt(h))
+    instead.
     """
+    literal = params.literal_exponent
     probs = []
     for regime, mu in ((0, params.mu0), (1, params.mu1)):
-        grow = exp(mu * sqrt(lattice.h)) if literal_exponent else exp(mu * lattice.h)
+        grow = exp(mu * sqrt(lattice.h)) if literal else exp(mu * lattice.h)
         p = (grow - lattice.dw) / (lattice.up - lattice.dw)
         if not 0.0 < p < 1.0:
-            h_max = _max_admissible_h(mu, params.sigma, literal_exponent)
+            # Default exponent mu*h:  |mu|*h < sigma*sqrt(h)  <=>  h < (sigma/|mu|)^2.
+            # Literal exponent mu*sqrt(h): admissible iff |mu| < sigma, for every h.
+            if mu == 0.0 or (literal and abs(mu) < params.sigma):
+                h_max = inf
+            else:
+                h_max = 0.0 if literal else (params.sigma / abs(mu)) ** 2
             raise AdmissibilityError(
                 f"up-probability {p:.6g} for regime {regime} (mu={mu}) lies outside "
                 f"(0, 1) at h={lattice.h:.6g}; largest admissible h is {h_max:.6g}"

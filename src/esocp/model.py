@@ -3,7 +3,9 @@
 The model: a lognormal stock whose drift drops from ``mu0`` to ``mu1 < mu0``
 at an unobserved exponential change point with intensity ``lam``.  An American
 call (strike ``strike``, maturity ``maturity``) on that stock is valued under
-the physical measure, with no trading in the underlying.
+the physical measure, with no trading in the underlying.  The lattice's
+per-step growth convention (see ``lattice.regime_return_probs``) is a model
+input like the others, so params under the two conventions compare unequal.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ class ModelParams:
     maturity: float  # option maturity (years)
     spot: float  # initial stock price
     y0: float = 0.0  # prior probability that the low-drift regime is already active
+    literal_exponent: bool = False  # lattice growth factor exp(mu*sqrt(h)), not exp(mu*h)
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,6 @@ def price_partial(
     params: ModelParams,
     n_steps: int,
     n_belief: int,
-    literal_exponent: bool = False,
     keep_surface: bool = False,
     keep_slice_at: int | None = None,
 ) -> PartialInfoResult:
@@ -83,7 +82,7 @@ def price_partial(
     """
     lattice = build_lattice(params, n_steps)
     q = transition_matrix(params.lam, lattice.h)
-    p = regime_return_probs(params, lattice, literal_exponent)
+    p = regime_return_probs(params, lattice)
     grid = build_grid(n_belief, q, p)
     disc = lattice.disc
 
@@ -145,11 +144,7 @@ def price_partial(
     )
 
 
-def price_partial_exact(
-    params: ModelParams,
-    n_steps: int,
-    literal_exponent: bool = False,
-) -> float:
+def price_partial_exact(params: ModelParams, n_steps: int) -> float:
     """Exact dynamic programming on the full non-recombining belief tree.
 
     No belief grid and no interpolation anywhere: every move sequence carries
@@ -166,7 +161,7 @@ def price_partial_exact(
         raise ValueError(f"y0 must lie in [0, 1], got {y0}")
     lattice = build_lattice(params, n_steps)
     q = transition_matrix(params.lam, lattice.h)
-    p = regime_return_probs(params, lattice, literal_exponent)
+    p = regime_return_probs(params, lattice)
 
     # Forward pass: per level, the belief and up-move count of every path,
     # ordered so state s at level k has children 2s (up) and 2s+1 (down).

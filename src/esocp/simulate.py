@@ -131,7 +131,7 @@ def _check_same_lattice(a: Lattice, b: Lattice, what: str) -> None:
 def _check_policies(full: FullInfoResult, partial: PartialInfoResult, what: str) -> None:
     """Both policies must come from one model; only the prior y0 may differ."""
     _check_same_lattice(full.lattice, partial.lattice, what)
-    if replace(full.params, y0=0.0) != replace(partial.params, y0=0.0) or full.p != partial.p:
+    if replace(full.params, y0=0.0) != replace(partial.params, y0=0.0):
         raise ValueError(
             f"{what} was priced under other parameters than full-information pricing "
             "(only y0 may differ)"
@@ -145,13 +145,15 @@ def surface_threshold(surface_row: np.ndarray, result: PartialInfoResult, y) -> 
 
     An infinite threshold on either side of a genuine bracket makes the whole
     cell uncrossable (no interpolation across an infinite layer): inf times a
-    weight in (0, 1) stays inf.  A weight of 0 (exact hit) reads the layer.
+    weight in (0, 1) stays inf.  A weight of 0 (exact hit), or two equal
+    layers, reads the layer: ``s*(1 - w) + s*w`` can round 1 ulp off s, and a
+    node priced exactly s would then not exercise.
     """
     lo, hi, w = result.grid.locate(y)
-    s_lo = surface_row[lo]
+    s_lo, s_hi = surface_row[lo], surface_row[hi]
     with np.errstate(invalid="ignore"):
-        interp = s_lo * (1.0 - w) + surface_row[hi] * w
-    return np.where(w == 0.0, s_lo, interp)
+        interp = s_lo * (1.0 - w) + s_hi * w
+    return np.where((w == 0.0) | (s_lo == s_hi), s_lo, interp)
 
 
 def _discount_factors(full_result: FullInfoResult) -> np.ndarray:

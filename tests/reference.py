@@ -88,8 +88,9 @@ def full_width_price_full(params, n_steps: int) -> dict:
             q.q00 * (p.p_up0 * v0[1:] + p.p_dw0 * v0[:-1])
             + q.q01 * (p.p_up1 * v1[1:] + p.p_dw1 * v1[:-1])
         )
-        boundary0[k] = first_exercise_prices(prices, strike, intrinsic, cont0)
-        boundary1[k] = first_exercise_prices(prices, strike, intrinsic, cont1)
+        boundary0[k], boundary1[k] = first_exercise_prices(
+            prices, strike, intrinsic, np.vstack((cont0, cont1))
+        )
         v0 = np.maximum(intrinsic, cont0)
         v1 = np.maximum(intrinsic, cont1)
         slices0.insert(0, v0)
@@ -137,7 +138,8 @@ def full_width_price_partial(params, n_steps: int, n_belief: int, keep_slice_at:
 
 def grid_threshold(surface_row: np.ndarray, n_grid: int, y: float) -> float:
     """Threshold at one belief: bracket y on the equidistant grid (snapping
-    exact hits), interpolate linearly, never across an infinite layer."""
+    exact hits), read the layer where both sides agree, otherwise interpolate
+    linearly, never across an infinite layer."""
     pos = y * (n_grid - 1)
     nearest = float(round(pos))  # half to even, like np.rint
     if abs(pos - nearest) <= _EXACT_HIT_TOL:
@@ -146,7 +148,7 @@ def grid_threshold(surface_row: np.ndarray, n_grid: int, y: float) -> float:
     hi = min(lo + 1, n_grid - 1)
     w = min(max(pos - lo, 0.0), 1.0)
     s_lo, s_hi = float(surface_row[lo]), float(surface_row[hi])
-    if w == 0.0:
+    if w == 0.0 or s_lo == s_hi:
         return s_lo
     if isfinite(s_lo) and isfinite(s_hi):
         return s_lo * (1.0 - w) + s_hi * w

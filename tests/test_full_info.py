@@ -140,8 +140,6 @@ def masked_first_exercise_prices(prices, strike, intrinsic, continuation):
     """The threshold with the in-the-money mask always applied and a separate any() pass."""
     tied = intrinsic >= continuation - EXERCISE_TIE_TOL * np.maximum(1.0, intrinsic)
     exercised = (prices > strike) & tied
-    if continuation.ndim == 1:
-        return float(prices[np.argmax(exercised)]) if exercised.any() else inf
     first = np.argmax(exercised, axis=1)
     return np.where(exercised.any(axis=1), prices[first], inf)
 
@@ -155,12 +153,12 @@ def test_first_exercise_prices_match_the_masked_scan():
         low = float(rng.choice([101.0, 80.0, 95.0, strike]))
         prices = np.sort(low + rng.choice([0.0, 1.0, 5.0, 20.0], size=width).cumsum())
         intrinsic = np.maximum(prices - strike, 0.0)
-        shape = (width,) if rng.random() < 0.4 else (int(rng.integers(1, 5)), width)
+        shape = (int(rng.integers(1, 5)), width)
         # continuation above intrinsic (no exercise), equal to it (an exact tie),
         # just inside the tie tolerance, or below it
         offsets = rng.choice([1.0, 0.0, 0.5e-12, -1.0], size=shape)
         continuation = intrinsic + offsets * np.maximum(1.0, intrinsic)
-        if len(shape) == 2 and rng.random() < 0.3:
+        if rng.random() < 0.3:
             continuation[0] = intrinsic + 1.0  # a row with no exercise
         want = masked_first_exercise_prices(prices, strike, intrinsic, continuation)
         got = first_exercise_prices(prices, strike, intrinsic, continuation)
@@ -171,10 +169,10 @@ def test_first_exercise_prices_match_the_masked_scan():
 # -- runs that share a lattice, priced in one sweep ---------------------------
 
 
-def alone(params, n, literal_exponent=False):
+def alone(params, n):
     """price_full's roots of one run, or the error it raises."""
     try:
-        result = price_full(params, n, literal_exponent=literal_exponent, keep_boundaries=False)
+        result = price_full(params, n, keep_boundaries=False)
     except ValueError as exc:
         return exc
     return result.v0_root, result.v1_root
@@ -190,12 +188,16 @@ def assert_same_outcomes(got, want):
 
 
 LATTICES = (BASE, replace(BASE, sigma=0.2, spot=80.0), replace(BASE, r=0.0, strike=120.0, maturity=3.0))
-# mu0 above r or not, inadmissible drifts at small N, lam = 0 (no switch)
-RUN = st.tuples(st.floats(-0.4, 0.4), st.floats(-0.4, 0.1), st.just(0.0) | st.floats(0.0, 3.0))
+# mu0 above r or not, inadmissible drifts at small N, lam = 0 (no switch),
+# either growth convention
+RUN = st.tuples(st.floats(-0.4, 0.4), st.floats(-0.4, 0.1), st.just(0.0) | st.floats(0.0, 3.0), st.booleans())
 
 
 def group_of(lattice, drifts):
-    return [replace(lattice, mu0=mu0, mu1=mu1, lam=lam) for mu0, mu1, lam in drifts]
+    return [
+        replace(lattice, mu0=mu0, mu1=mu1, lam=lam, literal_exponent=literal)
+        for mu0, mu1, lam, literal in drifts
+    ]
 
 
 @settings(max_examples=60, deadline=None)
@@ -203,12 +205,12 @@ def group_of(lattice, drifts):
     lattice=st.sampled_from(LATTICES),
     drifts=st.lists(RUN, min_size=1, max_size=6),
     n=st.integers(1, 200),
-    literal=st.booleans(),
 )
-def test_group_roots_equal_price_full_bit_for_bit(lattice, drifts, n, literal):
+def test_group_roots_equal_price_full_bit_for_bit(lattice, drifts, n):
+    # each run draws its own growth convention, so a group may mix them
     runs = group_of(lattice, drifts)
-    got = price_full_roots(runs, n, literal_exponent=literal)
-    assert_same_outcomes(got, [alone(p, n, literal) for p in runs])
+    got = price_full_roots(runs, n)
+    assert_same_outcomes(got, [alone(p, n) for p in runs])
 
 
 @settings(max_examples=20, deadline=None)

@@ -139,7 +139,7 @@ def test_moment_matching_identity():
 
 def test_literal_exponent_flag():
     lat = build_lattice(BASE, 2500)
-    p = regime_return_probs(BASE, lat, literal_exponent=True)
+    p = regime_return_probs(replace(BASE, literal_exponent=True), lat)
     up, dw = lat.up, lat.dw
     assert p.p_up0 == pytest.approx((exp(0.02 * sqrt(0.004)) - dw) / (up - dw), rel=1e-14)
 

@@ -253,3 +253,16 @@ def test_grid_policy_on_the_exact_tree_is_below_exact(params, n_belief, y0):
         policy, exact, grid = tree_policy_value(partial), price_partial_exact(params, n_steps), partial.root_at(y0)
         assert policy <= exact + ORACLE_SLACK * max(1.0, exact), n_steps
         assert exact <= grid + ORACLE_SLACK * max(1.0, grid), n_steps
+
+
+@pytest.mark.parametrize("n_belief", [5, 21, 101])
+@pytest.mark.parametrize("y0", [0.0, 0.5])
+def test_grid_policy_at_base_n7_is_exact(n_belief, y0):
+    # At N = 7 the grid's policy on the exact tree loses nothing against the
+    # exact solution.  The surface there has equal neighbouring layers, whose
+    # interpolation s*(1 - w) + s*w can round 1 ulp above s; a node priced
+    # exactly s must still exercise.
+    params = replace(BASE, y0=y0)
+    policy = tree_policy_value(price_partial(params, 7, n_belief, keep_surface=True))
+    exact = price_partial_exact(params, 7)
+    assert abs(policy - exact) <= ORACLE_SLACK * max(1.0, exact)

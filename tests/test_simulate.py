@@ -378,6 +378,67 @@ def test_replay_engine_matches_path_at_a_time_oracle(name, params, n):
         assert exercised > 0
 
 
+def enumerated_columns(full):
+    """Every path of the replay as one uniform column, with its probability.
+
+    One column per (switch step, move sequence): switch step 0 starts in
+    regime 1 and N + 1 stands for no switch within the horizon.  Each draw
+    sits at the midpoint of the probability interval of its outcome (a
+    switch step s >= 1 is a row-1 draw in (q00^s, q00^(s-1)]).  Returns the
+    (N + 2, M) draws, the (M,) probabilities and the (M,) switch steps.
+    """
+    params, q, p, n = full.params, full.q, full.p, full.lattice.n_steps
+    y0, q00 = params.y0, q.q00
+    # (switch step, probability, row-0 draw, row-1 draw)
+    switches = [(0, y0, y0 / 2, 0.5)]
+    for s in range(1, n + 1):
+        switches.append((s, (1 - y0) * q00 ** (s - 1) * q.q01, (1 + y0) / 2, (q00**s + q00 ** (s - 1)) / 2))
+    switches.append((n + 1, (1 - y0) * q00**n, (1 + y0) / 2, q00**n / 2))
+    ups = (np.arange(2**n)[:, None] >> np.arange(n) & 1).astype(bool)  # (2^N, N), True = up
+    draws, weights, steps = [], [], []
+    for s, prob, u0, u1 in switches:
+        if prob == 0.0:
+            continue
+        p_up = np.where(np.arange(1, n + 1) >= s, p.p_up1, p.p_up0)  # the regime at each step's end
+        block = np.empty((n + 2, ups.shape[0]))
+        block[0], block[1] = u0, u1
+        block[2:] = np.where(ups, p_up / 2, (1 + p_up) / 2).T
+        draws.append(block)
+        weights.append(prob * np.prod(np.where(ups, p_up, 1 - p_up), axis=1))
+        steps.append(np.full(ups.shape[0], s))
+    return np.hstack(draws), np.concatenate(weights), np.concatenate(steps)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        pytest.param(BASE, id="base"),
+        pytest.param(replace(BASE, lam=2.0), id="lam2"),
+        pytest.param(replace(BASE, lam=0.0), id="lam0"),
+    ],
+)
+@pytest.mark.parametrize("n_belief", [5, 21, 101])
+@pytest.mark.parametrize("y0", [0.0, 0.5])
+def test_replay_enumerated_exactly_equals_the_tree_values(params, n_belief, y0):
+    # The probability-weighted replay over every path is the insider's value
+    # at the prior and the value of the grid's policy on the exact belief tree.
+    params = replace(params, y0=y0)
+    for n in (1, 2, 3, 7, 10):
+        full = price_full(params, n)
+        partial = price_partial(params, n, n_belief, keep_surface=True)
+        draws, weights, steps = enumerated_columns(full)
+        switch = simulate._switch_steps(params, full.q, draws[0], draws[1])
+        assert np.array_equal(np.minimum(switch, n + 1), steps), n
+        assert weights.sum() == pytest.approx(1.0, rel=1e-12), n
+        replayed = replay_draws(full, partial, draws, (y0,))
+        insider = weights @ replayed["insider"].payoff
+        outsider = weights @ replayed[f"outsider(y0={y0:g})"].payoff
+        want = (1 - y0) * full.v0_root + y0 * full.v1_root
+        assert abs(insider - want) <= 1e-10 * want, n
+        want = reference.tree_policy_value(partial)
+        assert abs(outsider - want) <= 1e-10 * want, n
+
+
 def test_replay_rejects_policies_priced_under_other_parameters(machinery, priced):
     lat, q, p = machinery
     full, partial = priced
@@ -387,6 +448,11 @@ def test_replay_rejects_policies_priced_under_other_parameters(machinery, priced
     path = simulate_joint_path(BASE, lat, q, p, (1, 0))
     with pytest.raises(ValueError, match="other parameters"):
         replay_policies(path, full, {0.0: other})
+    # the growth convention is a model input too: same lattice, other move probabilities
+    literal = price_partial(replace(BASE, literal_exponent=True), N, 51, keep_surface=True)
+    assert literal.lattice == full.lattice and literal.p != full.p
+    with pytest.raises(ValueError, match="other parameters"):
+        replay_batch(full, literal, 10, 1, (0.0,))
     # the prior alone may differ: every outsider variant sets its own
     shifted = price_partial(replace(BASE, y0=0.5), N, 51, keep_surface=True)
     assert replay_batch(full, shifted, 10, 1, (0.5,))["outsider(y0=0.5)"].payoff.size == 10
