@@ -48,7 +48,6 @@ class PartialInfoResult:
     grid: FilterGrid
     surface: np.ndarray | None = None  # (N+1, L) exercise thresholds, +inf allowed
     slice_values: np.ndarray | None = None  # (L, k+1) values at the step k = keep_slice_at
-    slice_continuation: np.ndarray | None = None  # (L, k+1) continuations there
     node_steps: int = 0  # layer-node updates the sweep performed
 
     def root_at(self, y0) -> float | np.ndarray:
@@ -77,8 +76,8 @@ def price_partial(
     belief l after an up/down move, and the terminal slice is (x-K)+ for all
     layers.  The result keeps the L layer values at (0,0), which ``root_at``
     interpolates at any initial belief.  Only nodes whose value is not known
-    exactly are swept (see ``sweep``); the step ``keep_slice_at`` is swept at
-    full width and retained.
+    exactly are swept (see ``sweep``); the values of step ``keep_slice_at`` at
+    every node are read off its window and retained.
     """
     lattice = build_lattice(params, n_steps)
     q = transition_matrix(params.lam, lattice.h)
@@ -139,7 +138,6 @@ def price_partial(
         grid=grid,
         surface=run.thresholds,
         slice_values=run.slice_values,
-        slice_continuation=run.slice_continuation,
         node_steps=run.node_steps,
     )
 

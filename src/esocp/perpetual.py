@@ -52,7 +52,7 @@ class PerpetualSolution:
         """State-1 perpetual value: (x1-K)*(x/x1)^gamma below x1, x-K above."""
         x = np.asarray(x, dtype=float)
         k = self.params.strike
-        below = (self.x1 - k) * (x / self.x1) ** self.gamma
+        below = (self.x1 - k) * (np.minimum(x, self.x1) / self.x1) ** self.gamma
         out = np.where(x < self.x1, below, x - k)
         return float(out) if out.ndim == 0 else out
 
@@ -60,12 +60,13 @@ class PerpetualSolution:
         """State-0 perpetual value, three branches split at x1 and x0."""
         x = np.asarray(x, dtype=float)
         k = self.params.strike
-        with np.errstate(divide="ignore"):
-            low = self.E * (self.x1 - k) * (x / self.x1) ** self.gamma + self.F * (
-                x / self.x1
-            ) ** self.beta
-            ratio = np.where(x > 0.0, self.x1 / np.where(x > 0.0, x, 1.0), np.inf)
-            mid = self.A * x + self.B + self.C * (x / self.x0) ** self.beta + self.D * ratio**self.delta
+        # Each branch is evaluated only on its own interval (at its nearest end
+        # elsewhere), so a value np.where discards cannot overflow or be nan.
+        xl = np.minimum(x, self.x1)
+        low = self.E * (self.x1 - k) * (xl / self.x1) ** self.gamma + self.F * (xl / self.x1) ** self.beta
+        xm = np.clip(x, self.x1, self.x0)
+        ratio = self.x1 / xm
+        mid = self.A * xm + self.B + self.C * (xm / self.x0) ** self.beta + self.D * ratio**self.delta
         out = np.where(x < self.x1, low, np.where(x < self.x0, mid, x - k))
         return float(out) if out.ndim == 0 else out
 

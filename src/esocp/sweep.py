@@ -21,8 +21,10 @@ At step k the sweep keeps explicit values only on a window [lo, hi) of nodes:
   above floating-point error.
 
 Every swept node sees the same child values and runs the same floating-point
-operations as a full-width sweep, so values, continuations, roots and
-exercise thresholds are bit-identical to sweeping every node.
+operations as a full-width sweep, so values, roots and exercise thresholds
+are bit-identical to sweeping every node.  The root and a retained step's
+values at every node are read off the window by that rule: 0 below lo, the
+window's values, intrinsic from hi up.
 
 Each step's window values, child values and continuations are compact views
 into buffers the sweep allocates once and reuses: arrays allocated and freed
@@ -108,7 +110,6 @@ class SweepResult:
     root: np.ndarray  # (L,) values at node (0, 0)
     thresholds: np.ndarray | None  # (N+1, L) first exercised price per step, +inf allowed
     slice_values: np.ndarray | None  # (L, k+1) values at step keep_slice_at
-    slice_continuation: np.ndarray | None  # (L, k+1) continuations at that step
     node_steps: int  # layer-node updates performed
 
 
@@ -207,9 +208,8 @@ class _Sweep:
         self.no_values = np.empty((self.n_layers, 0))
 
     def widest(self) -> int:
-        """Nodes in the widest window of any step but keep_slice_at: the window's
-        top starts at (itm + 1) // 2 and only the one-step test, at most cut // 2,
-        raises it."""
+        """Nodes in the widest window of any step: the window's top starts at
+        (itm + 1) // 2 and only the one-step test, at most cut // 2, raises it."""
         return min(self.n + 1, max(self.itm + 1, self.cut) // 2)
 
     def reads(self, r0: int, r1: int) -> tuple[int, int]:
@@ -219,16 +219,15 @@ class _Sweep:
         first, end = self.child_rows
         return int(first[r0:r1].min()), int(end[r0:r1].max())
 
-    def update(self, k, new_lo, lo, hi, values, layers, rows, intrinsic, out, cont, scratch) -> np.ndarray:
+    def update(self, k, new_lo, lo, hi, values, layers, rows, intrinsic, out, scratch) -> np.ndarray:
         """Sweep layers [r0, r1) = ``layers`` of step k's window out, which
         starts at node new_lo and whose nodes pay ``intrinsic``.
 
         Child values come from ``values``, the window [lo, hi) of step k + 1;
         only its child rows [c0, c1) = ``rows`` are read.  New values go to
-        out[r0:r1], continuations to cont[r0:r1] (to ``scratch`` if cont is
-        None; scratch also holds the child values).  Returns the first
-        exercised price of each of these layers (+inf where none, or without
-        ``thresholds``).
+        out[r0:r1]; the child values and continuations to ``scratch``.
+        Returns the first exercised price of each of these layers (+inf where
+        none, or without ``thresholds``).
         """
         r0, r1 = layers
         width = out.shape[1]
@@ -241,10 +240,7 @@ class _Sweep:
         children[c0:c1, :a] = 0.0
         children[c0:c1, a:b] = values[c0:c1, new_lo + a - lo : new_lo + b - lo]
         children[c0:c1, b:] = _rung(self.payoff, base - 1 + 2 * (new_lo + b), width + 1 - b)
-        if cont is None:
-            cont = _compact(scratch, self.n_layers * (self.n + 2), r1 - r0, width)
-        else:
-            cont = cont[r0:r1]
+        cont = _compact(scratch, self.n_layers * (self.n + 2), r1 - r0, width)
         self.continuation(children, cont, layers)
         np.maximum(intrinsic, cont, out=out[r0:r1])
         # Columns from itm_col on are in the money; none below can exercise.
@@ -253,6 +249,14 @@ class _Sweep:
             prices = _rung(self.prices, base + 2 * (new_lo + itm_col), width - itm_col)
             return self.thresholds(prices, self.strike, intrinsic[itm_col:], cont[:, itm_col:])
         return self.no_exercise[r0:r1]
+
+    def slice_at(self, k: int, lo: int, hi: int, values: np.ndarray) -> np.ndarray:
+        """Step k's values at every node, from its window [lo, hi): 0 below
+        lo, ``values`` on the window, intrinsic from hi up."""
+        out = np.zeros((self.n_layers, k + 1))
+        out[:, lo:hi] = values
+        out[:, hi:] = _rung(self.payoff, self.n - k + 2 * hi, k + 1 - hi)
+        return out
 
     def run(self, half: int | None = None, link: _Link | None = None) -> SweepResult:
         """Sweep every step, over all layers (half None) or over the low (half
@@ -267,7 +271,7 @@ class _Sweep:
         if self.thresholds is not None and half != 1:
             surface = np.full((n + 1, n_layers), inf)
             surface[n] = self.strike
-        slice_values = slice_continuation = None
+        slice_values = None
         node_steps = 0
         # Step k writes window k % 2 and reads step k + 1's from the other.
         windows = np.empty(2 * n_layers * (n + 1)) if link is None else link.windows
@@ -281,23 +285,15 @@ class _Sweep:
             # Both children of the nodes below lo - 1 are exactly 0 in every layer.
             new_lo = min(max(lo - 1, 0), k + 1)
             new_hi = min(max(hi, (self.cut - base + 1) // 2, new_lo), k + 1)
-            if k == self.keep:
-                new_lo, new_hi = 0, k + 1
             width = new_hi - new_lo
 
             if width:
-                retained = k == self.keep
                 out = _compact(windows, (k % 2) * n_layers * (n + 1), n_layers, width)
-                cont = None
-                if retained:
-                    cont = np.empty((n_layers, width)) if link is None else link.continuation(width)
                 intrinsic = _rung(self.payoff, base + 2 * new_lo, width)
-                first = self.update(k, new_lo, lo, hi, values, layers, rows, intrinsic, out, cont, scratch)
+                first = self.update(k, new_lo, lo, hi, values, layers, rows, intrinsic, out, scratch)
                 if link is not None:
                     first = link.exchange(k, half, first)
                 node_steps += n_layers * width
-                if retained and half != 1:
-                    slice_values, slice_continuation = out.copy(), cont if link is None else cont.copy()
                 kept = _exercised_from(out, intrinsic)
                 dead = _zeros_below(out[:, :kept])
                 values = out[:, dead:kept]
@@ -313,18 +309,13 @@ class _Sweep:
                 if new_hi <= k:
                     surface[k, np.isinf(first)] = _rung(self.prices, base + 2 * new_hi, 1)
             lo, hi = bottom, top
+            if k == self.keep and half != 1:
+                slice_values = self.slice_at(k, lo, hi, values)
 
-        if lo > 0:
-            root = np.zeros(n_layers)
-        elif hi == 0:
-            root = np.full(n_layers, self.payoff[n % 2][n // 2])
-        else:
-            root = values[:, 0].copy()
         return SweepResult(
-            root=root,
+            root=self.slice_at(0, lo, hi, values)[:, 0],
             thresholds=surface,
             slice_values=slice_values,
-            slice_continuation=slice_continuation,
             node_steps=node_steps,
         )
 
@@ -335,21 +326,21 @@ class _Link:
     One anonymous shared mapping holds two windows of values (step k writes
     window k % 2, reading step k + 1's from the other), two rows of first
     exercise prices (also by parity; the helper fills its layers' entries,
-    the parent its own), the continuation of the retained step and a failure
-    flag.  Each window is stored compactly from the start of its area, so
-    only L times the widest window is ever touched.  Two semaphores say that
-    the low (0) or high (1) half of the layers of a step is done; they also
-    order the memory writes of the two processes.
+    the parent its own) and a failure flag.  Each window is stored
+    compactly from the start of its area, so only L times the widest window
+    is ever touched.  Two semaphores say that the low (0) or high (1) half
+    of the layers of a step is done; they also order the memory writes of
+    the two processes.
     """
 
-    def __init__(self, n_layers: int, capacity: int, keep_width: int):
+    def __init__(self, n_layers: int, capacity: int):
         import mmap
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
         self.n_layers = n_layers
         self.capacity = n_layers * capacity
-        size = 2 * self.capacity + 2 * n_layers + n_layers * keep_width + 1
+        size = 2 * self.capacity + 2 * n_layers + 1
         self.shared = np.frombuffer(mmap.mmap(-1, 8 * size), dtype=float)
         self.windows = self.shared[: 2 * self.capacity]
         self.rows = self.shared[2 * self.capacity : 2 * self.capacity + 2 * n_layers].reshape(2, n_layers)
@@ -357,9 +348,6 @@ class _Link:
         self.error_r, self.error_w = os.pipe()
         self.parent = os.getpid()
         self.helper = None  # pid until reaped
-
-    def continuation(self, width: int) -> np.ndarray:
-        return _compact(self.shared, 2 * self.capacity + 2 * self.n_layers, self.n_layers, width)
 
     def exchange(self, k: int, half: int, first: np.ndarray) -> np.ndarray:
         """Wait until both halves of step k are swept.  The parent gets the
@@ -430,8 +418,7 @@ class _Link:
 
 def _split(sweep: _Sweep) -> SweepResult:
     """Sweep the low half of the layers here and the high half in a forked helper."""
-    keep_width = 0 if sweep.keep is None else sweep.keep + 1
-    link = _Link(sweep.n_layers, sweep.n + 1, keep_width)
+    link = _Link(sweep.n_layers, sweep.n + 1)
     pid = os.fork()
     if pid == 0:
         # The helper never returns into the caller's stack: whatever happens,
@@ -474,8 +461,8 @@ def backward_sweep(
     ``p_up``/``p_dw`` are the (L,) weights the continuation puts on the up and
     down child when both hold the same value in every layer.
     ``thresholds`` (``first_exercise_prices`` or None) extracts the
-    first exercised price per layer and step.  Step ``keep_slice_at`` is
-    swept over every node; its values and continuations are returned.
+    first exercised price per layer and step.  The values of step
+    ``keep_slice_at`` at every node are returned, read off its window.
     A sweep that names its ``child_rows`` and has more than
     SPLIT_MIN_ENTRIES entries in its widest window is shared with a forked
     helper process where ``_workers.can_fork()``.  Without ``child_rows``

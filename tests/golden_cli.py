@@ -50,6 +50,7 @@ CASES = {
     "surface-wide": ["surface", "--N", "1500", "--L", "101"],
     "perpetual": ["perpetual", "--x-points", "11"],
     "perpetual-no-boundary": ["perpetual", "--mu0", "8%", "--mu1", "5%"],
+    "perpetual-lambda-zero": ["perpetual", "--lambda", "0", "--x-points", "3"],
     "simulate": ["simulate", "--N", "60", "--L", "11", "--paths", "3000"],
     "simulate-repeated-beliefs": ["simulate", "--N", "60", "--L", "11", "--paths", "5",
                                   "--y0", "0.5", "--y0", "0.5", "--y0", "1"],

@@ -157,7 +157,6 @@ def test_retained_slice_invariants():
     prices = result.lattice.level_prices(100)
     intrinsic = np.maximum(prices - BASE.strike, 0.0)
     assert np.all(values >= intrinsic[None, :] - 1e-12)
-    assert np.all(values >= result.slice_continuation - 1e-12)
     # value falls as the low-drift regime becomes more likely
     assert np.all(np.diff(values, axis=0) <= 1e-9)
 

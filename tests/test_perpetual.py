@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -150,6 +151,19 @@ def test_no_switch_limit_is_classical_perpetual_call():
     xs = np.linspace(1.0, x_star * 0.99, 50)
     classical = (x_star - 100.0) * (xs / x_star) ** beta
     assert np.max(np.abs(out.v0(xs) - classical)) < 1e-8
+
+
+@pytest.mark.parametrize("lam", [BASE.lam, 0.0])
+def test_values_at_the_ends_raise_no_warning(lam):
+    # the branches np.where discards at x = 0 and at x = 1e200 warn of nothing
+    out = solve_perpetual(replace(BASE, lam=lam))
+    xs = np.array([0.0, 0.5 * out.x1, out.x1, out.x0, 1e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert out.v0(0.0) == 0.0
+        assert out.v1(1e200) == 1e200 - 100.0
+        v0, v1 = out.v0(xs), out.v1(xs)
+    assert v0[0] == v1[0] == 0.0 and np.all(np.isfinite(v0)) and np.all(np.isfinite(v1))
 
 
 def test_threshold_bracket_failure_is_reported():

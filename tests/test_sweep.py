@@ -3,6 +3,7 @@ split across two, work counts and the non-finite guard."""
 
 import os
 import signal
+import time
 import warnings
 from dataclasses import replace
 from functools import cache
@@ -46,11 +47,13 @@ def test_partial_window_matches_full_width(case, n_steps):
     params = CASES[case]
     want = full_width_price_partial(params, n_steps, N_BELIEF, keep_slice_at=n_steps // 2)
     got = price_partial(params, n_steps, N_BELIEF, keep_surface=True, keep_slice_at=n_steps // 2)
-    for name in ("root_layers", "surface", "slice_values", "slice_continuation"):
+    for name in ("root_layers", "surface", "slice_values"):
         assert np.array_equal(getattr(got, name), want[name]), name
     plain = price_partial(params, n_steps, N_BELIEF, keep_surface=True)
     assert np.array_equal(plain.root_layers, want["root_layers"])
     assert np.array_equal(plain.surface, want["surface"])
+    # the slice is read off its step's window, which no option widens
+    assert plain.node_steps == got.node_steps
 
 
 @pytest.mark.parametrize("n_steps", SIZES)
@@ -134,7 +137,7 @@ def test_node_steps_below_full_triangle():
     assert 0 < partial.node_steps < n_belief * n * (n + 1) // 2
     full = price_full(BASE, n)
     assert 0 < full.node_steps < n * (n + 1)
-    # A full-width step counts every node: at N=1 the only step has one node.
+    # At N=1 the only step sweeps its one node.
     assert price_partial(BASE, 1, n_belief, keep_slice_at=0).node_steps == n_belief
 
 
@@ -177,7 +180,7 @@ def test_zero_run_is_trimmed_without_changing_a_bit(monkeypatch):
     assert (full.v0_root, full.v1_root) == (want_full["v0_root"], want_full["v1_root"])
     assert np.array_equal(full.boundary0, want_full["boundary0"])
     assert np.array_equal(full.boundary1, want_full["boundary1"])
-    for name in ("root_layers", "surface", "slice_values", "slice_continuation"):
+    for name in ("root_layers", "surface", "slice_values"):
         assert np.array_equal(getattr(partial, name), want_partial[name]), name
     # the retained slice has far more zero nodes than never-in-the-money ones
     k = UNDERFLOW_N // 2
@@ -248,7 +251,7 @@ def test_split_window_matches_full_width(case, n_steps, forced_split, monkeypatc
     params = CASES[case]
     want = full_width_price_partial(params, n_steps, N_BELIEF, keep_slice_at=n_steps // 2)
     got = price_partial(params, n_steps, N_BELIEF, keep_surface=True, keep_slice_at=n_steps // 2)
-    for name in ("root_layers", "surface", "slice_values", "slice_continuation"):
+    for name in ("root_layers", "surface", "slice_values"):
         assert np.array_equal(getattr(got, name), want[name]), name
     want_full = full_width_price_full(params, n_steps)
     full = price_full(params, n_steps)
@@ -274,7 +277,7 @@ def test_split_on_one_core_matches_full_width(forced_split, deadline, monkeypatc
         got = price_partial(BASE, 200, N_BELIEF, keep_surface=True, keep_slice_at=100)
     finally:
         os.sched_setaffinity(0, cpus)
-    for name in ("root_layers", "surface", "slice_values", "slice_continuation"):
+    for name in ("root_layers", "surface", "slice_values"):
         assert np.array_equal(getattr(got, name), want[name]), name
     assert forced_split == [200]
 
@@ -288,7 +291,7 @@ def test_split_zero_trim_matches_full_width(forced_split):
     assert (full.v0_root, full.v1_root) == (want_full["v0_root"], want_full["v1_root"])
     assert np.array_equal(full.boundary0, want_full["boundary0"])
     assert np.array_equal(full.boundary1, want_full["boundary1"])
-    for name in ("root_layers", "surface", "slice_values", "slice_continuation"):
+    for name in ("root_layers", "surface", "slice_values"):
         assert np.array_equal(getattr(partial, name), want_partial[name]), name
     assert forced_split == [UNDERFLOW_N]  # the outsider's sweep only
 
@@ -306,7 +309,7 @@ def test_split_by_layers_matches_full_width(n_belief, forced_split, monkeypatch)
     monkeypatch.setattr(sweep._Sweep, "reads", recorded)
     want = full_width_price_partial(BASE, 200, n_belief, keep_slice_at=100)
     got = price_partial(BASE, 200, n_belief, keep_surface=True, keep_slice_at=100)
-    for name in ("root_layers", "surface", "slice_values", "slice_continuation"):
+    for name in ("root_layers", "surface", "slice_values"):
         assert np.array_equal(getattr(got, name), want[name]), name
     grid, half = got.grid, n_belief // 2
     low_first = min(grid.up_lo[:half].min(), grid.dw_lo[:half].min())
@@ -330,7 +333,7 @@ def test_row_blocks_match_full_width(case, split, entries, monkeypatch, request)
     params = CASES[case]
     want = full_width_price_partial(params, 60, N_BELIEF, keep_slice_at=30)
     got = price_partial(params, 60, N_BELIEF, keep_surface=True, keep_slice_at=30)
-    for name in ("root_layers", "surface", "slice_values", "slice_continuation"):
+    for name in ("root_layers", "surface", "slice_values"):
         assert np.array_equal(getattr(got, name), want[name]), name
     assert splits == ([60] if split else [])
 
@@ -341,7 +344,7 @@ def test_one_cpu_sweeps_in_process(monkeypatch):
     monkeypatch.setattr(sweep, "_split", refuse_split)
     want = full_width_price_partial(BASE, 60, N_BELIEF, keep_slice_at=30)
     got = price_partial(BASE, 60, N_BELIEF, keep_surface=True, keep_slice_at=30)
-    for name in ("root_layers", "surface", "slice_values", "slice_continuation"):
+    for name in ("root_layers", "surface", "slice_values"):
         assert np.array_equal(getattr(got, name), want[name]), name
 
 
@@ -421,6 +424,51 @@ def test_dead_helper_raises_instead_of_hanging(forced_split, deadline, monkeypat
     with pytest.raises(ChildProcessError, match="died"):
         price_partial(BASE, 60, N_BELIEF)
     assert_no_child_left()
+
+
+def gone_or_zombie(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="no /proc")
+def test_helper_exits_when_its_caller_dies(forced_split, deadline, monkeypatch):
+    # The caller is a process forked here: at step 30 it reports its helper's
+    # pid and kills itself, leaving the helper waiting for its half.
+    read_end, write_end = os.pipe()
+    caller = os.fork()
+    if caller == 0:
+        try:
+            os.close(read_end)
+            helpers, real_fork = [], os.fork
+
+            def fork():
+                helpers.append(real_fork())
+                return helpers[-1]
+
+            def report_and_die():
+                os.write(write_end, f"{helpers[0]}\n".encode())
+                os.kill(os.getpid(), signal.SIGKILL)
+
+            monkeypatch.setattr(os, "fork", fork)
+            misbehave_at(monkeypatch, 30, "parent", report_and_die)
+            price_partial(BASE, 60, N_BELIEF)
+        finally:
+            os._exit(1)
+    os.close(write_end)
+    with os.fdopen(read_end) as pipe:
+        helper = int(pipe.readline())
+    _, status = os.waitpid(caller, 0)
+    try:
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+        while not gone_or_zombie(helper):
+            time.sleep(0.01)
+    finally:
+        if not gone_or_zombie(helper):  # a helper that stayed would outlive the tests
+            os.kill(helper, signal.SIGKILL)
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["one process", "split"])
