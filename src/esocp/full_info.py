@@ -60,6 +60,8 @@ class FullInfoResult:
     node_steps: int = 0  # layer-node updates the sweep performed (2 layers: the regimes)
 
     def boundary(self, regime: int) -> np.ndarray:
+        if regime not in (0, 1):
+            raise ValueError(f"regime must be 0 or 1, got {regime}")
         b = self.boundary0 if regime == 0 else self.boundary1
         if b is None:
             raise ValueError("boundaries were not retained for this run")
@@ -74,7 +76,7 @@ def _sweep_runs(
     The runs share the lattice (with its discount factor) and the strike; run
     c brings its switching chain qs[c] and move probabilities ps[c].  Its two
     regime rows are layers 2c (high drift) and 2c + 1 (low drift).  The
-    sweep names no ``child_rows``, so it always runs in one process.
+    sweep is not ``by_layers``, so it always runs in one process.
     """
     up_probs = np.array([(p.p_up0, p.p_up1) for p in ps]).reshape(-1, 1)
     dw_probs = np.array([(p.p_dw0, p.p_dw1) for p in ps]).reshape(-1, 1)
@@ -198,6 +200,10 @@ def price_european_reference(
     """
     if (regime is None) == (y0 is None):
         raise ValueError("specify exactly one of regime or y0")
+    if regime not in (None, 0, 1):
+        raise ValueError(f"regime must be 0 or 1, got {regime}")
+    if y0 is not None and not 0.0 <= y0 <= 1.0:
+        raise ValueError(f"y0 must lie in [0, 1], got {y0}")
     lattice = build_lattice(params, n_steps)
     q = transition_matrix(params.lam, lattice.h)
     p = regime_return_probs(params, lattice)

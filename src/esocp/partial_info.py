@@ -124,7 +124,7 @@ def price_partial(
         p_up,
         p_dw,
         continuation,
-        child_rows=(np.minimum(grid.up_lo, grid.dw_lo), np.maximum(grid.up_hi, grid.dw_hi) + 1),
+        by_layers=True,
         thresholds=first_exercise_prices if keep_surface else None,
         keep_slice_at=keep_slice_at,
     )

@@ -26,23 +26,29 @@ are bit-identical to sweeping every node.  The root and a retained step's
 values at every node are read off the window by that rule: 0 below lo, the
 window's values, intrinsic from hi up.
 
-Each step's window values, child values and continuations are compact views
-into buffers the sweep allocates once and reuses: arrays allocated and freed
-every step made the allocator hand pages back to the system and fault them
-in again.  Node prices are the lattice's parity ladders (``Lattice.prices``)
-and the payoffs are kept the same way, so a step's intrinsic values and its
-children's intrinsic edge are contiguous slices.
+Step k's window is a compact (L, w + 2) view into a buffer the sweep
+allocates once: a zero column, the w swept nodes, then the payoff of the node
+above them.  Step k - 1 reads its children in place, as a column slice of
+it: below lo the zero column or trimmed columns that are 0 in every layer,
+from hi up trimmed columns equal to intrinsic or the payoff column (one is
+enough: the window's top never rises as k falls).  The continuation writes
+straight into the window's rows, so no step copies its children or its
+continuations (arrays allocated and freed every step made the allocator hand
+pages back to the system and fault them in again).  At maturity, and at a
+step that swept no node, the values are the payoffs broadcast over the
+layers.  Node prices are the lattice's parity ladders (``Lattice.prices``)
+and the payoffs are kept the same way, so a step's intrinsic values are
+contiguous slices.
 
 A step updates a range of layers over the whole window in one call: the
 pricer's continuation works through those rows in blocks of whole rows.
-Where a window can hold many (layer, node) entries and the caller names the
-child rows each layer reads (the outsider's belief grid does; the insider's
-two regime rows per run do not, so its sweep always runs in one process),
-two processes share each step: the caller sweeps layers [0, L//2) and a
-helper forked for the sweep layers [L//2, L), both writing one window in
-shared memory and each copying only the child rows its layers read.  Each
-extracts the thresholds of its own layers, so the step's threshold row is
-the disjoint union of the two.
+Where a window can hold many (layer, node) entries and the caller's
+continuation serves any range of layers (the outsider's does; the insider's
+computes both regime rows of a run together, so its sweep always runs in one
+process), two processes share each step: the caller sweeps layers [0, L//2)
+and a helper forked for the sweep layers [L//2, L), each writing its own
+layers' rows of one window in shared memory.  Each extracts the thresholds of
+its own layers, so the step's threshold row is the disjoint union of the two.
 The layers of a step are independent, so the split changes no bit either.
 
 The whole sweep, in both processes, runs with numpy's ufunc buffer at
@@ -189,7 +195,7 @@ def _rung(ladders: tuple[np.ndarray, np.ndarray], index: int, count: int) -> np.
 class _Sweep:
     """One backward induction: the lattice's geometry and the update of a layer range."""
 
-    def __init__(self, lattice, strike, p_up, p_dw, continuation, child_rows, thresholds, keep_slice_at):
+    def __init__(self, lattice, strike, p_up, p_dw, continuation, thresholds, keep_slice_at):
         self.n = lattice.n_steps
         self.n_layers = p_up.size
         self.prices = lattice.prices  # node (k, j) sits at ladder index n - k + 2j
@@ -198,7 +204,6 @@ class _Sweep:
         self.payoff = tuple(np.maximum(prices - strike, 0.0) for prices in self.prices)
         self.strike = strike
         self.continuation = continuation
-        self.child_rows = child_rows
         self.thresholds = thresholds
         self.keep = keep_slice_at
         # The first exercise prices of layers that have none, and the values of
@@ -212,43 +217,32 @@ class _Sweep:
         (itm + 1) // 2 and only the one-step test, at most cut // 2, raises it."""
         return min(self.n + 1, max(self.itm + 1, self.cut) // 2)
 
-    def reads(self, r0: int, r1: int) -> tuple[int, int]:
-        """The span [c0, c1) of child rows that layers [r0, r1) read."""
-        if self.child_rows is None:
-            return 0, self.n_layers
-        first, end = self.child_rows
-        return int(first[r0:r1].min()), int(end[r0:r1].max())
+    def update(self, k, new_lo, children, layers, intrinsic, window) -> np.ndarray:
+        """Sweep layers [r0, r1) = ``layers`` of step k's ``window``, whose
+        w swept nodes from new_lo on pay ``intrinsic``, from ``children``,
+        the (L, w + 1) values of nodes new_lo to new_lo + w at step k + 1.
 
-    def update(self, k, new_lo, lo, hi, values, layers, rows, intrinsic, out, scratch) -> np.ndarray:
-        """Sweep layers [r0, r1) = ``layers`` of step k's window out, which
-        starts at node new_lo and whose nodes pay ``intrinsic``.
-
-        Child values come from ``values``, the window [lo, hi) of step k + 1;
-        only its child rows [c0, c1) = ``rows`` are read.  New values go to
-        out[r0:r1]; the child values and continuations to ``scratch``.
-        Returns the first exercised price of each of these layers (+inf where
-        none, or without ``thresholds``).
+        Writes the window's rows [r0, r1): 0, the w new values, and the
+        payoff of node new_lo + w unless it is past the top.  Returns the
+        first exercised price of each of these layers (+inf where none, or
+        without ``thresholds``).
         """
         r0, r1 = layers
-        width = out.shape[1]
+        width = intrinsic.size
         base = self.n - k  # ladder index of node (k, 0)
-        # Child values at step k+1 for nodes new_lo..new_hi: zeros, window, intrinsic.
-        c0, c1 = rows
-        children = _compact(scratch, 0, self.n_layers, width + 1)
-        a = min(max(lo - new_lo, 0), width + 1)
-        b = min(max(hi - new_lo, a), width + 1)
-        children[c0:c1, :a] = 0.0
-        children[c0:c1, a:b] = values[c0:c1, new_lo + a - lo : new_lo + b - lo]
-        children[c0:c1, b:] = _rung(self.payoff, base - 1 + 2 * (new_lo + b), width + 1 - b)
-        cont = _compact(scratch, self.n_layers * (self.n + 2), r1 - r0, width)
-        self.continuation(children, cont, layers)
-        np.maximum(intrinsic, cont, out=out[r0:r1])
+        rows = window[r0:r1]
+        out = rows[:, 1 : width + 1]
+        self.continuation(children, out, layers)
+        first = self.no_exercise[r0:r1]
         # Columns from itm_col on are in the money; none below can exercise.
         itm_col = min(max((self.itm - base + 1) // 2 - new_lo, 0), width)
         if self.thresholds is not None and itm_col < width:
             prices = _rung(self.prices, base + 2 * (new_lo + itm_col), width - itm_col)
-            return self.thresholds(prices, self.strike, intrinsic[itm_col:], cont[:, itm_col:])
-        return self.no_exercise[r0:r1]
+            first = self.thresholds(prices, self.strike, intrinsic[itm_col:], out[:, itm_col:])
+        np.maximum(intrinsic, out, out=out)
+        rows[:, 0] = 0.0
+        rows[:, width + 1 :] = _rung(self.payoff, base + 2 * (new_lo + width), window.shape[1] - width - 1)
+        return first
 
     def slice_at(self, k: int, lo: int, hi: int, values: np.ndarray) -> np.ndarray:
         """Step k's values at every node, from its window [lo, hi): 0 below
@@ -266,7 +260,6 @@ class _Sweep:
         n, n_layers = self.n, self.n_layers
         split = n_layers // 2
         layers = (0, n_layers) if half is None else (0, split) if half == 0 else (split, n_layers)
-        rows = self.reads(*layers)
         surface = None
         if self.thresholds is not None and half != 1:
             surface = np.full((n + 1, n_layers), inf)
@@ -275,11 +268,13 @@ class _Sweep:
         node_steps = 0
         # Step k writes window k % 2 and reads step k + 1's from the other.
         windows = np.empty(2 * n_layers * (n + 1)) if link is None else link.windows
-        scratch = np.empty(n_layers * (2 * n + 3))
 
         # Terminal step: nodes with index 2j < itm are dead, all others intrinsic.
         lo = hi = min((self.itm + 1) // 2, n + 1)
         values = self.no_values
+        # Step k + 1's values and the node of their column 0: at maturity the
+        # payoffs, 0 below lo.
+        window, origin = np.broadcast_to(self.payoff[0], (n_layers, n + 1)), 0
         for k in range(n - 1, -1, -1):
             base = n - k
             # Both children of the nodes below lo - 1 are exactly 0 in every layer.
@@ -288,27 +283,30 @@ class _Sweep:
             width = new_hi - new_lo
 
             if width:
-                out = _compact(windows, (k % 2) * n_layers * (n + 1), n_layers, width)
+                children = window[:, new_lo - origin : new_hi - origin + 1]
+                # Nodes new_lo - 1 to new_hi, or to k where new_hi is past the top.
+                window = _compact(windows, (k % 2) * n_layers * (n + 1), n_layers, min(new_hi, k) + 2 - new_lo)
+                origin = new_lo - 1
                 intrinsic = _rung(self.payoff, base + 2 * new_lo, width)
-                first = self.update(k, new_lo, lo, hi, values, layers, rows, intrinsic, out, scratch)
+                first = self.update(k, new_lo, children, layers, intrinsic, window)
                 if link is not None:
                     first = link.exchange(k, half, first)
                 node_steps += n_layers * width
+                out = window[:, 1 : width + 1]
                 kept = _exercised_from(out, intrinsic)
                 dead = _zeros_below(out[:, :kept])
                 values = out[:, dead:kept]
-                bottom, top = new_lo + dead, new_lo + kept
+                lo, hi = new_lo + dead, new_lo + kept
             else:
-                first = self.no_exercise
-                bottom = top = new_lo
-                values = self.no_values
+                first, values = self.no_exercise, self.no_values
+                lo = hi = new_lo
+                window, origin = np.broadcast_to(_rung(self.payoff, base, k + 1), (n_layers, k + 1)), 0
             if surface is not None:
                 # Nodes from new_hi up are exercised, so new_hi is the first one
                 # unless the window exercises earlier.
                 surface[k] = first
                 if new_hi <= k:
                     surface[k, np.isinf(first)] = _rung(self.prices, base + 2 * new_hi, 1)
-            lo, hi = bottom, top
             if k == self.keep and half != 1:
                 slice_values = self.slice_at(k, lo, hi, values)
 
@@ -328,9 +326,10 @@ class _Link:
     exercise prices (also by parity; the helper fills its layers' entries,
     the parent its own) and a failure flag.  Each window is stored
     compactly from the start of its area, so only L times the widest window
-    is ever touched.  Two semaphores say that the low (0) or high (1) half
-    of the layers of a step is done; they also order the memory writes of
-    the two processes.
+    is ever touched.  Each process writes only its own layers' rows of a
+    window, edge columns included, and only before it posts the step.  Two
+    semaphores say that the low (0) or high (1) half of the layers of a step
+    is done; they also order the memory writes of the two processes.
     """
 
     def __init__(self, n_layers: int, capacity: int):
@@ -446,7 +445,7 @@ def backward_sweep(
     p_up: np.ndarray,
     p_dw: np.ndarray,
     continuation: Callable[[np.ndarray, np.ndarray, tuple[int, int]], None],
-    child_rows: tuple[np.ndarray, np.ndarray] | None = None,
+    by_layers: bool = False,
     thresholds: Callable | None = None,
     keep_slice_at: int | None = None,
 ) -> SweepResult:
@@ -454,20 +453,19 @@ def backward_sweep(
 
     ``continuation(children, out, (r0, r1))`` writes the (r1 - r0, w)
     continuation values of layers [r0, r1) at the w nodes of a step's window
-    into ``out``, a view of the sweep's own buffer, from the (L, w+1) child
-    values ``children``.  Only the child rows [c0, c1) that those layers
-    read are filled in: with ``child_rows`` = (first, end), c0 is the least
-    first[l] and c1 the largest end[l] over the layers (every row if None).
+    into ``out``, from the (L, w+1) child values ``children``.  Both are
+    strided views: ``out`` of the rows of the step's window, ``children`` of
+    the last step's window (or of the payoffs).
     ``p_up``/``p_dw`` are the (L,) weights the continuation puts on the up and
     down child when both hold the same value in every layer.
     ``thresholds`` (``first_exercise_prices`` or None) extracts the
     first exercised price per layer and step.  The values of step
     ``keep_slice_at`` at every node are returned, read off its window.
-    A sweep that names its ``child_rows`` and has more than
-    SPLIT_MIN_ENTRIES entries in its widest window is shared with a forked
-    helper process where ``_workers.can_fork()``.  Without ``child_rows``
-    any layer may read any child row, so both halves would copy every row:
-    such a sweep (the insider's) always runs in this process.
+    A sweep whose continuation serves any range of layers (``by_layers``)
+    and has more than SPLIT_MIN_ENTRIES entries in its widest window is
+    shared with a forked helper process where ``_workers.can_fork()``.  The
+    insider's continuation computes every regime row at once, so its sweep
+    always runs in this process.
     """
     # Overflow runs silently: a non-finite value it leaves reaches the root,
     # where the pricers' check_finite raises.  A nan is neither 0 nor any
@@ -481,9 +479,9 @@ def backward_sweep(
         # does not.
         callers = np.setbufsize(UFUNC_BUFFER)
         try:
-            sweep = _Sweep(lattice, strike, p_up, p_dw, continuation, child_rows, thresholds, keep_slice_at)
+            sweep = _Sweep(lattice, strike, p_up, p_dw, continuation, thresholds, keep_slice_at)
             wide = sweep.n_layers * sweep.widest() > SPLIT_MIN_ENTRIES
-            if wide and child_rows is not None and _workers.can_fork():
+            if wide and by_layers and _workers.can_fork():
                 return _split(sweep)
             return sweep.run()
         finally:

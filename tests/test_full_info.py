@@ -80,6 +80,23 @@ def test_european_belief_start_is_regime_mixture():
         price_european_reference(BASE, 150, regime=0, y0=0.5)
 
 
+@pytest.mark.parametrize("regime", [2, -1])
+def test_unknown_regime_is_rejected(regime):
+    with pytest.raises(ValueError, match="regime must be 0 or 1"):
+        price_full(BASE, 50).boundary(regime)
+    with pytest.raises(ValueError, match="regime must be 0 or 1"):
+        price_european_reference(BASE, 50, regime=regime)
+
+
+@pytest.mark.parametrize("y0", [1.5, -3.0, float("nan")])
+def test_european_belief_outside_unit_interval_is_rejected(y0):
+    # a y0 outside [0, 1] would extrapolate the regime mixture (nan used to
+    # raise NonFiniteResultError, which blames node-price overflow)
+    with pytest.raises(ValueError, match=r"y0 must lie in \[0, 1\]") as raised:
+        price_european_reference(BASE, 50, y0=y0)
+    assert not isinstance(raised.value, NonFiniteResultError)
+
+
 def test_vanishing_horizon_collapses_to_intrinsic():
     p = replace(BASE, maturity=1e-8, spot=130.0)
     assert price_european_reference(p, 1, regime=0) == pytest.approx(30.0, abs=1e-3)

@@ -4,6 +4,7 @@ split across two, work counts and the non-finite guard."""
 import os
 import signal
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 from functools import cache
@@ -300,28 +301,76 @@ def test_split_zero_trim_matches_full_width(forced_split):
 def test_split_by_layers_matches_full_width(n_belief, forced_split, monkeypatch):
     # L=2 leaves one layer per process; from L=3 on, the child rows one
     # half's layers read reach into the other half's
-    spans, reads = [], sweep._Sweep.reads
+    calls, update = [], sweep._Sweep.update
 
-    def recorded(self, *layers):
-        spans.append(reads(self, *layers))
-        return spans[-1]
+    def recorded(self, k, new_lo, children, layers, intrinsic, window):
+        calls.append((k, children, layers, window))
+        return update(self, k, new_lo, children, layers, intrinsic, window)
 
-    monkeypatch.setattr(sweep._Sweep, "reads", recorded)
+    monkeypatch.setattr(sweep._Sweep, "update", recorded)
     want = full_width_price_partial(BASE, 200, n_belief, keep_slice_at=100)
     got = price_partial(BASE, 200, n_belief, keep_surface=True, keep_slice_at=100)
     for name in ("root_layers", "surface", "slice_values"):
         assert np.array_equal(getattr(got, name), want[name]), name
     grid, half = got.grid, n_belief // 2
-    low_first = min(grid.up_lo[:half].min(), grid.dw_lo[:half].min())
     low_end = max(grid.up_hi[:half].max(), grid.dw_hi[:half].max()) + 1
     high_first = min(grid.up_lo[half:].min(), grid.dw_lo[half:].min())
     assert (low_end > half and high_first < half) == (n_belief > 2)
-    # the caller copies only the child rows of its own layers
-    assert spans == [(low_first, low_end)]
-    assert low_end < n_belief or n_belief == 2
+    # the caller sweeps only its own layers, and reads the children of every
+    # layer in place: the terminal payoffs, then the last step's window,
+    # whose other rows the helper wrote
+    assert [k for k, *_ in calls] == list(range(199, -1, -1))
+    assert {layers for _, _, layers, _ in calls} == {(0, half)}
+    assert calls[0][1].shape[0] == n_belief and calls[0][1].strides[0] == 0
+    for (_, _, _, window), (_, children, _, next_window) in zip(calls, calls[1:]):
+        assert children.shape[0] == n_belief
+        assert np.may_share_memory(children, window)
+        assert not np.may_share_memory(children, next_window)
     assert forced_split == [200]
     monkeypatch.setattr(sweep, "SPLIT_MIN_ENTRIES", 10**18)
     assert got.node_steps == price_partial(BASE, 200, n_belief, keep_slice_at=100).node_steps
+
+
+# A strike far below the spot: from step 23 back to the root every node is
+# exercised in every layer, so those 24 steps sweep an empty window.
+DEEP_IN_THE_MONEY = replace(BASE, strike=1.0)
+
+
+def test_split_through_empty_windows_matches_full_width(forced_split, monkeypatch):
+    swept, update = [], sweep._Sweep.update
+
+    def recorded(self, k, *args):
+        swept.append(k)
+        return update(self, k, *args)
+
+    monkeypatch.setattr(sweep._Sweep, "update", recorded)
+    want = full_width_price_partial(DEEP_IN_THE_MONEY, 60, N_BELIEF, keep_slice_at=30)
+    got = price_partial(DEEP_IN_THE_MONEY, 60, N_BELIEF, keep_surface=True, keep_slice_at=30)
+    for name in ("root_layers", "surface", "slice_values"):
+        assert np.array_equal(getattr(got, name), want[name]), name
+    assert forced_split == [60]
+    assert sorted(set(range(60)) - set(swept)) == list(range(24))
+
+
+def test_sweep_heap_holds_no_child_buffer(monkeypatch):
+    # Beyond the surface and the two windows of L x (N + 1) doubles, the
+    # heap holds one continuation block's gathers (at most three arrays of
+    # partial_info.ROW_BLOCK_ELEMENTS doubles) and the thresholds' (L, w)
+    # temporaries: less than one L x (2N + 3) buffer of doubles, the size a
+    # per-sweep copy of the children and continuations would take.  Measured
+    # with numpy 2.4.6: 514,352 bytes against the bound's 810,424 (a sweep
+    # that keeps such a copy reads 1,325,832).
+    one_cpu(monkeypatch)
+    n, n_belief = 500, 101
+    price_partial(BASE, 50, 11)
+    tracemalloc.start()
+    try:
+        got = price_partial(BASE, n, n_belief, keep_surface=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    windows = 2 * n_belief * (n + 1) * 8
+    assert peak - got.surface.nbytes - windows < n_belief * (2 * n + 3) * 8
 
 
 @pytest.mark.parametrize("entries", [1, 100])  # one row per block, or a few
