@@ -12,13 +12,14 @@ is therefore the same whatever the number of paths or the chunk size, and
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, replace
 from math import inf, log, nan
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._workers import ordered_map, usable_cpus
+from ._workers import fork_each, usable_cpus
 from .filtering import update_belief
 from .full_info import FullInfoResult
 from .lattice import Lattice, QMatrix, RegimeReturnProbs
@@ -35,6 +36,17 @@ _DEFAULT_CHUNK_UNIFORMS = 4_000_000  # about 32 MB of uniforms per chunk
 def block_uniforms(master_seed: int, block: int, n_steps: int) -> np.ndarray:
     """The (N + 2, BLOCK) step-major uniforms of one block of paths."""
     return np.random.default_rng((master_seed, block)).random((n_steps + _ROWS_BEFORE_MOVES, BLOCK))
+
+
+def path_uniforms(master_seed: int, index: int, n_steps: int) -> np.ndarray:
+    """The (N + 2,) uniforms of path index: its column of its block's
+    ``block_uniforms``, drawn one row at a time into one reused row."""
+    rng = np.random.default_rng((master_seed, index // BLOCK))
+    row = np.empty(BLOCK)
+    draws = np.empty(n_steps + _ROWS_BEFORE_MOVES)
+    for k in range(draws.size):
+        draws[k] = rng.random(out=row)[index % BLOCK]
+    return draws
 
 
 @dataclass(frozen=True)
@@ -92,7 +104,7 @@ def simulate_joint_path(
     _check_beliefs(belief_starts)
     master_seed, index = seed
     n = lattice.n_steps
-    draws = block_uniforms(master_seed, index // BLOCK, n)[:, index % BLOCK]
+    draws = path_uniforms(master_seed, index, n)
 
     first = float(_switch_steps(params, q, draws[0], draws[1]))
     switch = int(first) if first <= n else None
@@ -222,15 +234,17 @@ def replay_batch(
 ) -> dict[str, AgentOutcomes]:
     """Simulate n_paths with common random numbers and replay every policy.
 
-    Paths are drawn block by block (see the module docstring) and replayed
-    a chunk of whole blocks at a time, the chunks side by side in worker
-    processes (``_workers.ordered_map``).  chunk_size (paths, rounded up to
-    whole blocks) bounds memory; it is cut down so that there are at least
-    as many chunks as usable CPUs, and it does not change the results.  Each
-    worker draws its own blocks, so only the outcomes pass between
-    processes.  All outsider variants share one exercise surface (the value
-    surface does not depend on the initial belief) but carry their own
-    filtered belief paths.
+    Paths are drawn block by block (see the module docstring).  The blocks
+    are split into one near-equal contiguous share per usable CPU, and each
+    share is replayed in a child forked for it (``_workers.fork_each``), a
+    chunk of whole blocks at a time.  chunk_size (paths, rounded up to whole
+    blocks) bounds one chunk's uniforms; it does not change the results.
+    Every agent's outcomes live in one anonymous shared mapping made before
+    the fork: each child draws its own blocks and writes its paths' outcomes
+    in place, so nothing is pickled either way, and the returned arrays are
+    views of that mapping.  All outsider variants share one exercise surface
+    (the value surface does not depend on the initial belief) but carry
+    their own filtered belief paths.
     """
     _check_policies(full_result, partial_result, "partial pricing")
     _check_beliefs(belief_starts)
@@ -240,27 +254,43 @@ def replay_batch(
     n_blocks = -(-n_paths // BLOCK)
     if chunk_size is None:
         chunk_size = _DEFAULT_CHUNK_UNIFORMS // (n + _ROWS_BEFORE_MOVES)
-    # at least min(n_blocks, usable CPUs) chunks, so every worker gets one
-    chunk_blocks = max(1, min(-(-chunk_size // BLOCK), n_blocks // usable_cpus()))
-    chunks = [range(first, min(first + chunk_blocks, n_blocks)) for first in range(0, n_blocks, chunk_blocks)]
-    jobs = [(full_result, partial_result, master_seed, blocks, belief_starts) for blocks in chunks]
-    parts = list(ordered_map(_replay_blocks, jobs))
+    chunk_blocks = max(1, -(-chunk_size // BLOCK))
+    agents = list(dict.fromkeys(_agents(belief_starts)))
+    size = len(agents) * n_blocks * BLOCK
+    shared = mmap.mmap(-1, 3 * 8 * size)
+    steps = np.frombuffer(shared, np.int64, size).reshape(len(agents), -1)
+    prices, payoffs = np.frombuffer(shared, float, 2 * size, 8 * size).reshape(2, len(agents), -1)
+    steps.fill(-2)  # never an outcome: marks a path no share wrote
 
-    def joined(agent: str, field: str) -> np.ndarray:
-        return np.concatenate([getattr(part[agent], field) for part in parts])[:n_paths]
+    def replay_share(share: range) -> None:
+        # one uniform buffer for all the share's chunks: a fresh one per chunk
+        # made the child fault its pages in again and again
+        buffer = np.empty((n + _ROWS_BEFORE_MOVES, min(chunk_blocks, len(share)) * BLOCK))
+        for first in range(share.start, share.stop, chunk_blocks):
+            blocks = range(first, min(first + chunk_blocks, share.stop))
+            draws = buffer[:, : len(blocks) * BLOCK]
+            for c, b in enumerate(blocks):
+                draws[:, c * BLOCK : (c + 1) * BLOCK] = block_uniforms(master_seed, b, n)
+            out = replay_draws(full_result, partial_result, draws, belief_starts)
+            paths = slice(blocks.start * BLOCK, blocks.stop * BLOCK)
+            for a, agent in enumerate(agents):
+                steps[a, paths] = out[agent].exercise_step
+                prices[a, paths] = out[agent].exercise_price
+                payoffs[a, paths] = out[agent].payoff
 
-    fields = ("exercise_step", "exercise_price", "payoff")
-    return {agent: AgentOutcomes(agent, *(joined(agent, f) for f in fields)) for agent in parts[0]}
+    n_shares = min(n_blocks, usable_cpus())
+    bounds = [s * n_blocks // n_shares for s in range(n_shares + 1)]
+    fork_each(replay_share, [range(a, b) for a, b in zip(bounds, bounds[1:])])
+    if np.any(steps == -2):
+        raise ChildProcessError("a replay worker left paths without outcomes")
+    return {
+        agent: AgentOutcomes(agent, steps[a, :n_paths], prices[a, :n_paths], payoffs[a, :n_paths])
+        for a, agent in enumerate(agents)
+    }
 
 
-def _replay_blocks(job) -> dict[str, AgentOutcomes]:
-    """Draw the uniforms of a run of blocks and replay every policy on them."""
-    full_result, partial_result, master_seed, blocks, belief_starts = job
-    n = full_result.lattice.n_steps
-    draws = np.empty((n + _ROWS_BEFORE_MOVES, len(blocks) * BLOCK))
-    for c, b in enumerate(blocks):
-        draws[:, c * BLOCK : (c + 1) * BLOCK] = block_uniforms(master_seed, b, n)
-    return replay_draws(full_result, partial_result, draws, belief_starts)
+def _agents(belief_starts: Sequence[float]) -> list[str]:
+    return ["insider"] + [f"outsider(y0={y0:g})" for y0 in belief_starts]
 
 
 def replay_draws(
@@ -288,7 +318,7 @@ def replay_draws(
     surface_floor = np.min(surface, axis=1) * (1.0 - 1e-12)
 
     switch = _switch_steps(params, q, draws[0], draws[1])
-    agents = ["insider"] + [f"outsider(y0={y0:g})" for y0 in belief_starts]
+    agents = _agents(belief_starts)
     steps = {a: np.full(m, -1, dtype=np.int64) for a in agents}
     prices = {a: np.full(m, nan) for a in agents}
     beliefs = [np.full(m, float(y0)) for y0 in belief_starts]

@@ -383,24 +383,15 @@ class _Link:
 
     def fail(self, exc: BaseException) -> None:
         """In the helper: flag the failure, wake the parent and send it the error."""
-        import pickle
-
-        try:
-            data = pickle.dumps(exc)
-            pickle.loads(data)
-        except Exception:
-            data = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
         self.shared[-1] = 1.0
         self.done[1].release()
-        with os.fdopen(self.error_w, "wb") as pipe:
-            pipe.write(data)
+        _workers.send_error(self.error_w, exc)
 
     def _raise_if_failed(self) -> None:
         if self.shared[-1]:
-            import pickle
-
-            with os.fdopen(os.dup(self.error_r), "rb") as pipe:
-                raise pickle.loads(pipe.read())
+            raise _workers.read_error(self.error_r) or ChildProcessError(
+                "the sweep's helper process died before reporting its error"
+            )
 
     def close(self) -> None:
         """In the parent: kill and reap the helper.  Once the parent's sweep

@@ -1,4 +1,6 @@
 import os
+import signal
+import time
 from dataclasses import replace
 from math import exp
 
@@ -23,6 +25,7 @@ from esocp.simulate import (
     _switch_step_from_uniform,
     aggregate_stats,
     block_uniforms,
+    path_uniforms,
     replay_batch,
     replay_draws,
     surface_threshold,
@@ -256,33 +259,44 @@ def test_pooled_replay_equals_in_process_replay(priced, monkeypatch, n_paths):
         assert np.array_equal(outcome.exercise_step, whole[agent].exercise_step[:n_paths])
 
 
+def test_short_last_chunk_of_a_share_is_invisible(priced, monkeypatch):
+    # one CPU: one share of three blocks, replayed as chunks of two and one,
+    # the second a column slice of the share's uniform buffer
+    full, partial = priced
+    one_cpu(monkeypatch)
+    runs = [replay_batch(full, partial, 3 * BLOCK - 5, 77, (0.5,), chunk_size=c) for c in (2 * BLOCK, BLOCK)]
+    assert_same_outcomes(*runs)
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4, 8])
 def test_every_usable_cpu_gets_a_chunk(priced, monkeypatch, cpus):
+    # one near-equal contiguous share of the blocks per usable CPU
     full, partial = priced
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    chunks = []
+    shares = []
 
     def in_process(fn, items):
-        chunks.append(len(items))
-        return map(fn, items)
+        shares.append(list(items))
+        for item in shares[-1]:
+            fn(item)
 
-    monkeypatch.setattr(simulate, "ordered_map", in_process)
-    block_counts = (1, 2, 3, 5, 9)
-    for n_blocks in block_counts:
+    monkeypatch.setattr(simulate, "fork_each", in_process)
+    for n_blocks in (1, 2, 3, 5, 9):
+        shares.clear()
         replay_batch(full, partial, n_blocks * BLOCK - 1, 3, (0.5,))
-    if cpus == 1:
-        assert chunks == [1] * len(block_counts)  # the default chunk holds 16 blocks at N=250
-    else:
-        assert all(n >= min(n_blocks, cpus) for n, n_blocks in zip(chunks, block_counts))
+        (run,) = shares
+        assert len(run) == min(n_blocks, cpus)
+        assert [b for share in run for b in share] == list(range(n_blocks))
+        assert max(map(len, run)) - min(map(len, run)) <= 1
 
 
-_real_replay_blocks = simulate._replay_blocks
 _chunk_pids = []
+_real_replay_draws = simulate.replay_draws
 
 
-def _replay_blocks_recording_pid(job):
+def _replay_draws_recording_pid(*args):
     _chunk_pids.append(os.getpid())
-    return _real_replay_blocks(job)
+    return _real_replay_draws(*args)
 
 
 def _replay_in_worker(job):
@@ -293,14 +307,103 @@ def _replay_in_worker(job):
 @pytest.mark.skipif(_workers.usable_cpus() < 2, reason="one usable CPU")
 def test_replay_inside_a_worker_runs_in_process(priced, monkeypatch):
     full, partial = priced
-    monkeypatch.setattr(simulate, "_replay_blocks", _replay_blocks_recording_pid)
+    monkeypatch.setattr(simulate, "replay_draws", _replay_draws_recording_pid)
     runs = list(_workers.ordered_map(_replay_in_worker, [(full, partial, 3 * BLOCK)] * 2))
-    monkeypatch.setattr(simulate, "_replay_blocks", _real_replay_blocks)
+    monkeypatch.setattr(simulate, "replay_draws", _real_replay_draws)
     serial = replay_batch(full, partial, 3 * BLOCK, 5, (0.5,))
     for pid, outcomes, chunk_pids in runs:
         assert pid != os.getpid()
         assert chunk_pids == [pid] * 3  # three chunks, all in the worker itself
         assert_same_outcomes(outcomes, serial)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def in_workers(monkeypatch, action):
+    """Make replay_draws call ``action`` first in every forked replay worker."""
+    parent = os.getpid()
+
+    def replay_draws(*args):
+        if os.getpid() != parent:
+            action()
+        return _real_replay_draws(*args)
+
+    monkeypatch.setattr(simulate, "replay_draws", replay_draws)
+
+
+def fail():
+    raise KeyError("replay of this share failed")
+
+
+def fail_unpicklably():
+    class LocalError(Exception):  # pickle cannot find a local class
+        pass
+
+    raise LocalError("replay of this share failed")
+
+
+forked = pytest.mark.skipif(_workers.usable_cpus() < 2, reason="one usable CPU")
+
+
+@forked
+@pytest.mark.parametrize(
+    "action, raised, message",
+    [(fail, KeyError, "replay of this share"), (fail_unpicklably, RuntimeError, "LocalError: replay of this share")],
+    ids=["picklable", "unpicklable"],
+)
+def test_worker_error_is_raised_with_its_type_and_message(priced, monkeypatch, action, raised, message):
+    full, partial = priced
+    replay_batch(full, partial, 2 * BLOCK, 1, (0.5,))
+    assert_no_child_left()
+    in_workers(monkeypatch, action)
+    with pytest.raises(raised, match=message):
+        replay_batch(full, partial, 2 * BLOCK, 1, (0.5,))
+    assert_no_child_left()
+
+
+@forked
+@pytest.mark.parametrize(
+    "action, message",
+    [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
+        (lambda: os._exit(3), "exited with status 3"),
+        (lambda: os._exit(0), "left paths without outcomes"),
+    ],
+    ids=["killed", "exit 3", "exit 0"],
+)
+def test_lost_worker_raises_instead_of_returning_zeros(priced, monkeypatch, action, message):
+    full, partial = priced
+    in_workers(monkeypatch, action)
+    with pytest.raises(ChildProcessError, match=message):
+        replay_batch(full, partial, 2 * BLOCK, 1, (0.5,))
+    assert_no_child_left()
+
+
+@forked
+def test_caller_error_while_waiting_kills_and_reaps_the_workers(priced, monkeypatch):
+    full, partial = priced
+
+    class Interrupted(Exception):
+        pass
+
+    def interrupt(signum, frame):
+        raise Interrupted
+
+    in_workers(monkeypatch, lambda: time.sleep(60))
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.perf_counter()
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+    try:
+        with pytest.raises(Interrupted):
+            replay_batch(full, partial, 2 * BLOCK, 1, (0.5,))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 30  # the sleeping workers were not waited for
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("y0", [1.5, -0.3, float("nan")])
@@ -311,8 +414,8 @@ def test_beliefs_outside_unit_interval_are_rejected_before_drawing(machinery, pr
     def no_draws(*args, **kwargs):
         raise AssertionError("drew or forked before checking the belief starts")
 
-    monkeypatch.setattr(simulate, "block_uniforms", no_draws)
-    monkeypatch.setattr(simulate, "ordered_map", no_draws)
+    for name in ("block_uniforms", "path_uniforms", "fork_each"):
+        monkeypatch.setattr(simulate, name, no_draws)
     with pytest.raises(ValueError, match="belief starts must lie in"):
         replay_batch(full, partial, 2000, 1, (0.5, y0))
     with pytest.raises(ValueError, match="belief starts must lie in"):
@@ -334,6 +437,12 @@ def test_single_paths_match_batch_across_block_boundaries(machinery, priced):
             step = -1 if o.exercise_step is None else o.exercise_step
             assert batch[o.agent].exercise_step[i] == step
             assert batch[o.agent].payoff[i] == o.payoff
+
+
+def test_path_uniforms_are_columns_of_block_uniforms():
+    for index in (0, BLOCK - 1, BLOCK, 3 * BLOCK - 1):
+        want = block_uniforms(8, index // BLOCK, 7)[:, index % BLOCK]
+        assert np.array_equal(path_uniforms(8, index, 7), want)
 
 
 def test_block_stream_is_pinned():
