@@ -1,11 +1,13 @@
-"""Forked worker processes: when they may be used, an ordered map over them
-for the CLI, one child per item for work that writes to shared memory (the
-replay), and the pipe through which a forked child reports its exception
-(shared with the split sweep's helper)."""
+"""Forked worker processes: when they may be used, an ordered map over a
+process pool for the CLI, and ``Child``, the one place where a forked process
+is started, reports its exception, dies and is reaped.  ``fork_each`` runs
+one Child per item (the replay's shares, which write to shared memory); the
+split sweep's helper is a Child too."""
 
 from __future__ import annotations
 
 import os
+import pickle  # numpy has imported it already
 
 
 def usable_cpus() -> int:
@@ -18,9 +20,11 @@ def can_fork() -> bool:
 
     It may with two or more usable CPUs, the fork start method, no other
     thread running (a forked child would inherit the locks it holds) and
-    outside a worker process (pools never nest).  The multiprocessing and
-    threading modules are imported here, not at the top, because importing
-    them costs every caller's start-up.
+    outside a process pool's worker (pools never nest), as
+    ``multiprocessing.parent_process()`` tells.  A ``Child`` passes that
+    test, but none forks (a replay share or the split sweep's helper).  The
+    multiprocessing and threading modules are imported here, not at the
+    top, because importing them costs every caller's start-up.
     """
     if usable_cpus() < 2:
         return False
@@ -56,85 +60,101 @@ def ordered_map(fn, items):
 
 
 def fork_each(fn, items) -> None:
-    """Run fn(item) for every item, each in a child forked for it, and wait
-    for all of them.
+    """Run fn(item) for every item, each in a ``Child`` forked for it, and
+    wait for all of them.
 
     Nothing passes between the processes but errors: a child starts with a
     copy of this process, fn included (a closure will do), and fn must leave
     its results in memory shared before the fork.  This runs fn in-process,
-    item after item, with one item or where ``can_fork()`` says no.  An
-    exception raised by fn in a child is re-raised here with its type and
-    message (the first failing item's, in order); a child that dies or exits
-    non-zero without reporting raises ``ChildProcessError``.  If this process fails
-    or is interrupted while it waits, every child is killed and reaped.
+    item after item, with one item or where ``can_fork()`` says no.  The
+    children are joined in order, so the first failing item's error is
+    raised here (see ``Child.join``).  If this process fails or is
+    interrupted while it waits, every child is killed and reaped.
     """
     items = list(items)
     if len(items) < 2 or not can_fork():
         for item in items:
             fn(item)
         return
-    import signal
-
-    children = {}  # pid -> read end of the child's error pipe, until reaped
+    children = []
     try:
         for item in items:
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                raise
-            if pid == 0:
-                # The child never returns into the caller's stack.
-                status = 1
-                try:
-                    fn(item)
-                    status = 0
-                except BaseException as exc:
-                    send_error(write_end, exc)
-                finally:
-                    os._exit(status)
-            os.close(write_end)  # else later children would hold it open
-            children[pid] = read_end
-        for pid in list(children):
-            error = read_error(children[pid])  # its end closes when it exits
-            _, status = os.waitpid(pid, 0)
-            os.close(children.pop(pid))
-            if error is not None:
-                raise error
-            if status:
-                code = os.waitstatus_to_exitcode(status)
-                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                raise ChildProcessError(f"worker process {pid} {how} without reporting an error")
+            children.append(Child(fn, item))
+        for child in children:
+            child.join()
     finally:
-        for pid, read_end in children.items():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(read_end)
+        for child in children:
+            child.kill()
 
 
-def send_error(fd: int, exc: BaseException) -> None:
-    """In a forked child: pickle exc to the parent through pipe fd and close
-    it.  An exception that does not survive pickling goes as a RuntimeError
-    carrying its type name and message."""
-    import pickle
+class Child:
+    """A process forked to run fn(*args), and the pipe through which it reports.
 
-    try:
-        data = pickle.dumps(exc)
-        pickle.loads(data)
-    except Exception:
-        data = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-    with os.fdopen(fd, "wb") as pipe:
-        pipe.write(data)
+    The child never returns into the caller's stack: it runs fn, sends any
+    exception it raises through the pipe (pickled; one that does not survive
+    pickling goes as a RuntimeError carrying its type name and message) and
+    exits, with status 0 only if fn returned.  The caller must end every
+    Child with ``join`` or ``kill``.
+    """
 
+    def __init__(self, fn, *args):
+        self.pipe, write_end = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(self.pipe)
+            os.close(write_end)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(self.pipe)
+                fn(*args)
+                status = 0
+            except BaseException as exc:
+                try:
+                    data = pickle.dumps(exc)
+                    pickle.loads(data)
+                except Exception:
+                    data = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+                with os.fdopen(write_end, "wb") as pipe:
+                    pipe.write(data)
+            finally:
+                os._exit(status)
+        os.close(write_end)  # else children forked later would hold it open
 
-def read_error(fd: int) -> BaseException | None:
-    """In the parent: the exception a child sent through pipe fd with
-    ``send_error``, or None if it sent none.  Reads until every write end is
-    closed; fd itself stays open."""
-    import pickle
+    def exited(self) -> bool:
+        """Whether the child has sent its error or is gone, without waiting:
+        either makes its pipe readable."""
+        import select
 
-    with os.fdopen(os.dup(fd), "rb") as pipe:
-        data = pipe.read()
-    return pickle.loads(data) if data else None
+        poll = select.poll()  # select.select takes no fd above 1023
+        poll.register(self.pipe, select.POLLIN)
+        return bool(poll.poll(0))
+
+    def join(self) -> None:
+        """Wait for the child to exit and reap it.  Raises its exception, or
+        ``ChildProcessError`` if it died or exited non-zero without sending one."""
+        # Read through a duplicate: if this process is interrupted mid-read,
+        # the pipe itself is still open for ``kill`` to close.
+        with os.fdopen(os.dup(self.pipe), "rb") as pipe:
+            data = pipe.read()  # until the child's end closes as it exits
+        _, status = os.waitpid(self.pid, 0)
+        pid, self.pid = self.pid, None
+        os.close(self.pipe)
+        if data:
+            raise pickle.loads(data)
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise ChildProcessError(f"child process {pid} died without reporting an error: it {how}")
+
+    def kill(self) -> None:
+        """SIGKILL and reap the child, unless ``join`` already reaped it."""
+        if self.pid is not None:
+            import signal  # not at the top: its enums cost every caller's start-up
+
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+            os.close(self.pipe)

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from ._workers import ordered_map
 from .full_info import FullInfoResult, price_full, price_full_roots
-from .model import PARAM_KEYS, ModelParams, load_params, parse_rate, validate
+from .model import PARAM_KEYS, ModelParams, check_beliefs, load_params, parse_rate, validate
 from .partial_info import price_partial
 from .perpetual import BracketError, NoFiniteBoundary, solve_perpetual
 from .simulate import (
@@ -122,9 +122,10 @@ class _Output:
 
 
 def _check_beliefs(beliefs) -> None:
-    for y0 in beliefs:
-        if not 0.0 <= y0 <= 1.0:
-            raise UsageError(f"--y0 must lie in [0, 1], got {y0}")
+    try:
+        check_beliefs(beliefs, "--y0")
+    except ValueError as exc:
+        raise UsageError(exc) from None
 
 
 def _roots(job: tuple[ModelParams, int, int, bool]) -> tuple[float, ...]:

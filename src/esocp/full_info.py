@@ -23,7 +23,7 @@ from .lattice import (
     regime_return_probs,
     transition_matrix,
 )
-from .model import ModelParams
+from .model import ModelParams, check_beliefs
 from .sweep import SweepResult, backward_sweep
 
 # A node counts as exercised when intrinsic >= continuation - TIE_TOL*max(1, intrinsic),
@@ -202,8 +202,8 @@ def price_european_reference(
         raise ValueError("specify exactly one of regime or y0")
     if regime not in (None, 0, 1):
         raise ValueError(f"regime must be 0 or 1, got {regime}")
-    if y0 is not None and not 0.0 <= y0 <= 1.0:
-        raise ValueError(f"y0 must lie in [0, 1], got {y0}")
+    if y0 is not None:
+        check_beliefs([y0])
     lattice = build_lattice(params, n_steps)
     q = transition_matrix(params.lam, lattice.h)
     p = regime_return_probs(params, lattice)

@@ -81,6 +81,13 @@ def validate(params: ModelParams) -> ModelParams:
     return params
 
 
+def check_beliefs(beliefs, name: str = "y0") -> None:
+    """Raise ValueError unless every belief lies in [0, 1] (nan does not)."""
+    for y in beliefs:
+        if not 0.0 <= y <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {y}")
+
+
 # Keys accepted in parameter files, mapped to ModelParams field names.
 PARAM_KEYS = {
     "mu0": "mu0",

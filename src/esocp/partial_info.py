@@ -26,7 +26,7 @@ from .lattice import (
     regime_return_probs,
     transition_matrix,
 )
-from .model import ModelParams
+from .model import ModelParams, check_beliefs
 from .sweep import backward_sweep
 
 # Exact enumeration doubles its state space every step.
@@ -53,8 +53,7 @@ class PartialInfoResult:
     def root_at(self, y0) -> float | np.ndarray:
         """Root value at initial beliefs in [0, 1], interpolated on the grid."""
         y = np.asarray(y0, dtype=float)
-        if not np.all((0.0 <= y) & (y <= 1.0)):
-            raise ValueError(f"y0 must lie in [0, 1], got {y0}")
+        check_beliefs(y.ravel())
         out = self.grid.interpolate(self.root_layers, y)
         return float(out) if np.ndim(out) == 0 else out
 
@@ -155,8 +154,7 @@ def price_partial_exact(params: ModelParams, n_steps: int) -> float:
             f"cap of {MAX_EXACT_STEPS}"
         )
     y0 = params.y0
-    if not 0.0 <= y0 <= 1.0:
-        raise ValueError(f"y0 must lie in [0, 1], got {y0}")
+    check_beliefs([y0])
     lattice = build_lattice(params, n_steps)
     q = transition_matrix(params.lam, lattice.h)
     p = regime_return_probs(params, lattice)

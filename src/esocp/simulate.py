@@ -23,7 +23,7 @@ from ._workers import fork_each, usable_cpus
 from .filtering import update_belief
 from .full_info import FullInfoResult
 from .lattice import Lattice, QMatrix, RegimeReturnProbs
-from .model import ModelParams
+from .model import ModelParams, check_beliefs
 from .partial_info import PartialInfoResult
 
 BLOCK = 1024
@@ -82,12 +82,6 @@ def _switch_steps(params: ModelParams, q: QMatrix, u_regime, u_switch) -> np.nda
     return np.where(u_regime < params.y0, 0.0, _switch_step_from_uniform(u_switch, q.q00))
 
 
-def _check_beliefs(belief_starts) -> None:
-    for y0 in belief_starts:
-        if not 0.0 <= y0 <= 1.0:
-            raise ValueError(f"belief starts must lie in [0, 1], got {y0}")
-
-
 def simulate_joint_path(
     params: ModelParams,
     lattice: Lattice,
@@ -101,7 +95,7 @@ def simulate_joint_path(
     ``seed`` is (master seed, path index).  The move over a step is drawn
     with the probability of the regime prevailing at the end of that step.
     """
-    _check_beliefs(belief_starts)
+    check_beliefs(belief_starts, "belief starts")
     master_seed, index = seed
     n = lattice.n_steps
     draws = path_uniforms(master_seed, index, n)
@@ -192,7 +186,7 @@ def replay_policies(
     Each outcome keeps the per-step thresholds its agent was compared with.
     """
     _check_same_lattice(path.lattice, full_result.lattice, "full-information pricing")
-    _check_beliefs(partial_results)
+    check_beliefs(partial_results, "belief starts")
     strike = full_result.params.strike
     disc = _discount_factors(full_result)
 
@@ -247,7 +241,7 @@ def replay_batch(
     their own filtered belief paths.
     """
     _check_policies(full_result, partial_result, "partial pricing")
-    _check_beliefs(belief_starts)
+    check_beliefs(belief_starts, "belief starts")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     n = full_result.lattice.n_steps

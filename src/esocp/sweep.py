@@ -322,14 +322,15 @@ class _Link:
     """What the two processes of a split sweep share.
 
     One anonymous shared mapping holds two windows of values (step k writes
-    window k % 2, reading step k + 1's from the other), two rows of first
+    window k % 2, reading step k + 1's from the other) and two rows of first
     exercise prices (also by parity; the helper fills its layers' entries,
-    the parent its own) and a failure flag.  Each window is stored
-    compactly from the start of its area, so only L times the widest window
-    is ever touched.  Each process writes only its own layers' rows of a
-    window, edge columns included, and only before it posts the step.  Two
-    semaphores say that the low (0) or high (1) half of the layers of a step
-    is done; they also order the memory writes of the two processes.
+    the parent its own).  Each window is stored compactly from the start of
+    its area, so only L times the widest window is ever touched.  Each
+    process writes only its own layers' rows of a window, edge columns
+    included, and only before it posts the step.  Two semaphores say that
+    the low (0) or high (1) half of the layers of a step is done; they also
+    order the memory writes of the two processes.  The helper is a
+    ``_workers.Child``; a blocked wait sees it exit and raises its error.
     """
 
     def __init__(self, n_layers: int, capacity: int):
@@ -339,14 +340,13 @@ class _Link:
         ctx = multiprocessing.get_context("fork")
         self.n_layers = n_layers
         self.capacity = n_layers * capacity
-        size = 2 * self.capacity + 2 * n_layers + 1
+        size = 2 * self.capacity + 2 * n_layers
         self.shared = np.frombuffer(mmap.mmap(-1, 8 * size), dtype=float)
         self.windows = self.shared[: 2 * self.capacity]
-        self.rows = self.shared[2 * self.capacity : 2 * self.capacity + 2 * n_layers].reshape(2, n_layers)
+        self.rows = self.shared[2 * self.capacity :].reshape(2, n_layers)
         self.done = (ctx.Semaphore(0), ctx.Semaphore(0))
-        self.error_r, self.error_w = os.pipe()
         self.parent = os.getpid()
-        self.helper = None  # pid until reaped
+        self.helper = None  # the parent's _workers.Child
 
     def exchange(self, k: int, half: int, first: np.ndarray) -> np.ndarray:
         """Wait until both halves of step k are swept.  The parent gets the
@@ -359,7 +359,6 @@ class _Link:
         self._wait(half)
         if half == 1:
             return first
-        self._raise_if_failed()
         row[: self.n_layers // 2] = first
         return row
 
@@ -375,59 +374,22 @@ class _Link:
         while not semaphore.acquire(timeout=POLL_S):
             if half == 1 and os.getppid() != self.parent:
                 raise ChildProcessError("the process that forked this sweep helper is gone")
-            if half == 0 and os.waitpid(self.helper, os.WNOHANG)[0]:
-                self.helper = None
+            if half == 0 and self.helper.exited():
+                self.helper.join()  # raises the helper's error, or how it died
                 if semaphore.acquire(False):  # posted just before it exited
                     return
                 raise ChildProcessError("the sweep's helper process died mid-sweep")
 
-    def fail(self, exc: BaseException) -> None:
-        """In the helper: flag the failure, wake the parent and send it the error."""
-        self.shared[-1] = 1.0
-        self.done[1].release()
-        _workers.send_error(self.error_w, exc)
-
-    def _raise_if_failed(self) -> None:
-        if self.shared[-1]:
-            raise _workers.read_error(self.error_r) or ChildProcessError(
-                "the sweep's helper process died before reporting its error"
-            )
-
-    def close(self) -> None:
-        """In the parent: kill and reap the helper.  Once the parent's sweep
-        has ended, by its last exchange or by an error, the helper has nothing
-        left to give it."""
-        os.close(self.error_r)
-        if self.helper is not None:
-            import signal
-
-            os.kill(self.helper, signal.SIGKILL)
-            os.waitpid(self.helper, 0)
-            self.helper = None
-
 
 def _split(sweep: _Sweep) -> SweepResult:
-    """Sweep the low half of the layers here and the high half in a forked helper."""
+    """Sweep the low half of the layers here and the high half in a forked
+    helper, killed once this sweep ends (by its last exchange or an error)."""
     link = _Link(sweep.n_layers, sweep.n + 1)
-    pid = os.fork()
-    if pid == 0:
-        # The helper never returns into the caller's stack: whatever happens,
-        # it reports to the parent and exits.
-        status = 1
-        try:
-            os.close(link.error_r)
-            sweep.run(1, link)
-            status = 0
-        except BaseException as exc:
-            link.fail(exc)
-        finally:
-            os._exit(status)
-    link.helper = pid
-    os.close(link.error_w)
+    link.helper = _workers.Child(sweep.run, 1, link)
     try:
         return sweep.run(0, link)
     finally:
-        link.close()
+        link.helper.kill()
 
 
 def backward_sweep(

@@ -25,6 +25,12 @@ PRODUCTION_N = 2500
 PRODUCTION_L = 250
 
 
+def assert_no_child_left():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def one_cpu(monkeypatch):
     """Make the worker pools see a single usable CPU (so they run in-process)."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

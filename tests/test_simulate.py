@@ -32,7 +32,7 @@ from esocp.simulate import (
 )
 
 import reference
-from conftest import BASE, one_cpu
+from conftest import BASE, assert_no_child_left, one_cpu
 
 N = 250
 
@@ -317,11 +317,6 @@ def test_replay_inside_a_worker_runs_in_process(priced, monkeypatch):
         assert_same_outcomes(outcomes, serial)
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def in_workers(monkeypatch, action):
     """Make replay_draws call ``action`` first in every forked replay worker."""
     parent = os.getpid()
@@ -345,14 +340,27 @@ def fail_unpicklably():
     raise LocalError("replay of this share failed")
 
 
+class TwoPartError(Exception):
+    def __init__(self, what, how):  # unpickling passes the message alone
+        super().__init__(f"{what} {how}")
+
+
+def fail_unloadably():
+    raise TwoPartError("replay of this share", "failed")
+
+
 forked = pytest.mark.skipif(_workers.usable_cpus() < 2, reason="one usable CPU")
 
 
 @forked
 @pytest.mark.parametrize(
     "action, raised, message",
-    [(fail, KeyError, "replay of this share"), (fail_unpicklably, RuntimeError, "LocalError: replay of this share")],
-    ids=["picklable", "unpicklable"],
+    [
+        (fail, KeyError, "replay of this share"),
+        (fail_unpicklably, RuntimeError, "LocalError: replay of this share"),
+        (fail_unloadably, RuntimeError, "TwoPartError: replay of this share failed"),
+    ],
+    ids=["picklable", "unpicklable", "unloadable"],
 )
 def test_worker_error_is_raised_with_its_type_and_message(priced, monkeypatch, action, raised, message):
     full, partial = priced

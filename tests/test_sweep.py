@@ -23,7 +23,7 @@ from esocp import (
     sweep,
 )
 
-from conftest import BASE, one_cpu
+from conftest import BASE, assert_no_child_left, one_cpu
 from reference import full_width_price_full, full_width_price_partial
 
 CASES = {
@@ -241,11 +241,6 @@ def deadline():
     signal.signal(signal.SIGALRM, previous)
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("n_steps", SIZES)
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_split_window_matches_full_width(case, n_steps, forced_split, monkeypatch):
@@ -458,6 +453,13 @@ def fail():
     raise ValueError("layer update failed on this half")
 
 
+def fail_unpicklably():
+    class LocalError(Exception):  # pickle cannot find a local class
+        pass
+
+    raise LocalError("layer update failed on this half")
+
+
 @pytest.mark.parametrize("step", [59, 0])  # the first and the last step
 @pytest.mark.parametrize("where", ["helper", "parent"])
 def test_sweep_error_is_raised_with_its_message(forced_split, deadline, monkeypatch, where, step):
@@ -468,11 +470,26 @@ def test_sweep_error_is_raised_with_its_message(forced_split, deadline, monkeypa
     assert_no_child_left()
 
 
-def test_dead_helper_raises_instead_of_hanging(forced_split, deadline, monkeypatch):
-    misbehave_at(monkeypatch, 30, "helper", lambda: os._exit(3))
-    with pytest.raises(ChildProcessError, match="died"):
+def test_unpicklable_helper_error_is_raised_with_its_type_name(forced_split, deadline, monkeypatch):
+    misbehave_at(monkeypatch, 30, "helper", fail_unpicklably)
+    with pytest.raises(RuntimeError, match="LocalError: layer update failed on this half"):
         price_partial(BASE, 60, N_BELIEF)
+    assert forced_split == [60]
     assert_no_child_left()
+
+
+def test_dead_helper_raises_instead_of_hanging(forced_split, deadline, monkeypatch):
+    deaths = [
+        (lambda: os._exit(3), "exited with status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
+    ]
+    for action, how in deaths:
+        with monkeypatch.context() as patch:
+            misbehave_at(patch, 30, "helper", action)
+            with pytest.raises(ChildProcessError, match="died") as raised:
+                price_partial(BASE, 60, N_BELIEF)
+        assert how in str(raised.value)
+        assert_no_child_left()
 
 
 def gone_or_zombie(pid):
@@ -518,6 +535,7 @@ def test_helper_exits_when_its_caller_dies(forced_split, deadline, monkeypatch):
     finally:
         if not gone_or_zombie(helper):  # a helper that stayed would outlive the tests
             os.kill(helper, signal.SIGKILL)
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["one process", "split"])
