@@ -1,8 +1,8 @@
 """Forked worker processes: when they may be used, an ordered map over a
-process pool for the CLI, and ``Child``, the one place where a forked process
-is started, reports its exception, dies and is reaped.  ``fork_each`` runs
-one Child per item (the replay's shares, which write to shared memory); the
-split sweep's helper is a Child too."""
+process pool for the CLI, and ``Child``, the one place where esocp itself
+forks a process, and where that process reports its exception, dies and is
+reaped.  ``fork_each`` runs one Child per item (the replay's shares, which
+write to shared memory); the split sweep's helper is a Child too."""
 
 from __future__ import annotations
 
@@ -93,8 +93,11 @@ class Child:
     The child never returns into the caller's stack: it runs fn, sends any
     exception it raises through the pipe (pickled; one that does not survive
     pickling goes as a RuntimeError carrying its type name and message) and
-    exits, with status 0 only if fn returned.  The caller must end every
-    Child with ``join`` or ``kill``.
+    exits, with status 0 only if fn returned.  Its exit closes every
+    descriptor it holds, so a caller that waits on a pipe or socket whose
+    other end only the child holds sees end of file there, and ``join``
+    then raises what the child reported.  The caller must end every Child
+    with ``join`` or ``kill``.
     """
 
     def __init__(self, fn, *args):
@@ -122,15 +125,6 @@ class Child:
             finally:
                 os._exit(status)
         os.close(write_end)  # else children forked later would hold it open
-
-    def exited(self) -> bool:
-        """Whether the child has sent its error or is gone, without waiting:
-        either makes its pipe readable."""
-        import select
-
-        poll = select.poll()  # select.select takes no fd above 1023
-        poll.register(self.pipe, select.POLLIN)
-        return bool(poll.poll(0))
 
     def join(self) -> None:
         """Wait for the child to exit and reap it.  Raises its exception, or

@@ -88,16 +88,14 @@ SURE_EXERCISE_MARGIN = 1e-9
 # (N=1000, L=251); below about 50,000 the gain drowns in the host's noise.
 SPLIT_MIN_ENTRIES = 50_000
 
-# A process waiting for the other one's half of a step polls its semaphore
-# for up to SPIN_S seconds before it blocks: waking a blocked process took
-# milliseconds on that guest, and with a 0.26 ms spin the production split
-# was no faster than one process.  Between tries it yields its CPU, which the
-# other half may be waiting for: with both processes on one CPU a spin that
-# kept the CPU stalled every step for a scheduler slice (10.2-11.4 s against
-# 2.9-3.4 s for N=2500, L=250).  A blocked wait checks every POLL_S seconds
-# that the other process is still alive.
+# A process waiting for the other one's half of a step reads its socket
+# without blocking for up to SPIN_S seconds before it blocks: waking a blocked
+# process took milliseconds on that guest, and with a 0.26 ms spin the
+# production split was no faster than one process.  Between tries it yields
+# its CPU, which the other half may be waiting for: with both processes on one
+# CPU a spin that kept the CPU stalled every step for a scheduler slice
+# (10.2-11.4 s against 2.9-3.4 s for N=2500, L=250).
 SPIN_S = 0.025
-POLL_S = 0.05
 
 # numpy's ufunc buffer during a sweep, in elements (numpy 1.24 takes only
 # multiples of 16).  On that guest with numpy 2.4.6, `x *= col` over a
@@ -252,16 +250,15 @@ class _Sweep:
         out[:, hi:] = _rung(self.payoff, self.n - k + 2 * hi, k + 1 - hi)
         return out
 
-    def run(self, half: int | None = None, link: _Link | None = None) -> SweepResult:
-        """Sweep every step, over all layers (half None) or over the low (half
-        0) or high (half 1) half of the layers, meeting the other half's process
-        through ``link`` once per step.  Thresholds and the retained slice are
-        only returned where half is not 1."""
+    def run(self, layers: tuple[int, int], link: _Link | None = None) -> SweepResult:
+        """Sweep every step over layers [r0, r1) = ``layers``, meeting the
+        other process of a split sweep through ``link`` once per step.  The
+        helper's sweep (whose layers do not start at 0) keeps no thresholds
+        and no retained slice."""
         n, n_layers = self.n, self.n_layers
-        split = n_layers // 2
-        layers = (0, n_layers) if half is None else (0, split) if half == 0 else (split, n_layers)
+        caller = layers[0] == 0
         surface = None
-        if self.thresholds is not None and half != 1:
+        if self.thresholds is not None and caller:
             surface = np.full((n + 1, n_layers), inf)
             surface[n] = self.strike
         slice_values = None
@@ -290,7 +287,7 @@ class _Sweep:
                 intrinsic = _rung(self.payoff, base + 2 * new_lo, width)
                 first = self.update(k, new_lo, children, layers, intrinsic, window)
                 if link is not None:
-                    first = link.exchange(k, half, first)
+                    first = link.exchange(k, layers, first)
                 node_steps += n_layers * width
                 out = window[:, 1 : width + 1]
                 kept = _exercised_from(out, intrinsic)
@@ -307,7 +304,7 @@ class _Sweep:
                 surface[k] = first
                 if new_hi <= k:
                     surface[k, np.isinf(first)] = _rung(self.prices, base + 2 * new_hi, 1)
-            if k == self.keep and half != 1:
+            if k == self.keep and caller:
                 slice_values = self.slice_at(k, lo, hi, values)
 
         return SweepResult(
@@ -323,73 +320,78 @@ class _Link:
 
     One anonymous shared mapping holds two windows of values (step k writes
     window k % 2, reading step k + 1's from the other) and two rows of first
-    exercise prices (also by parity; the helper fills its layers' entries,
-    the parent its own).  Each window is stored compactly from the start of
-    its area, so only L times the widest window is ever touched.  Each
-    process writes only its own layers' rows of a window, edge columns
-    included, and only before it posts the step.  Two semaphores say that
-    the low (0) or high (1) half of the layers of a step is done; they also
-    order the memory writes of the two processes.  The helper is a
-    ``_workers.Child``; a blocked wait sees it exit and raises its error.
+    exercise prices (also by parity; each process fills its own layers'
+    entries).  Each window is stored compactly from the start of its area,
+    so only L times the widest window is ever touched.  Each process writes
+    only its own layers' rows of a window, edge columns included, and only
+    before it posts the step.  A socket pair carries the posts, one byte per
+    step each way, and orders the memory writes of the two processes.  Each
+    keeps one end, so end of file on it means the other process is gone.
+    The helper is a ``_workers.Child``.
     """
 
     def __init__(self, n_layers: int, capacity: int):
         import mmap
-        import multiprocessing
+        import socket
 
-        ctx = multiprocessing.get_context("fork")
-        self.n_layers = n_layers
         self.capacity = n_layers * capacity
         size = 2 * self.capacity + 2 * n_layers
         self.shared = np.frombuffer(mmap.mmap(-1, 8 * size), dtype=float)
         self.windows = self.shared[: 2 * self.capacity]
         self.rows = self.shared[2 * self.capacity :].reshape(2, n_layers)
-        self.done = (ctx.Semaphore(0), ctx.Semaphore(0))
-        self.parent = os.getpid()
-        self.helper = None  # the parent's _workers.Child
+        self.end, self.helper_end = socket.socketpair()  # this process's end, the helper's
+        self.helper = None  # the caller's _workers.Child; None in the helper, forked before it is set
 
-    def exchange(self, k: int, half: int, first: np.ndarray) -> np.ndarray:
-        """Wait until both halves of step k are swept.  The parent gets the
-        step's first exercise prices of every layer: its own layers' next to
-        the helper's, which the helper left in row k % 2."""
+    def help(self, sweep: _Sweep, layers: tuple[int, int]) -> None:
+        """The helper's sweep of ``layers``, on its own end of the socket pair."""
+        self.end.close()
+        self.end = self.helper_end
+        sweep.run(layers, self)
+
+    def exchange(self, k: int, layers: tuple[int, int], first: np.ndarray) -> np.ndarray:
+        """Write this process's layers' first exercise prices of step k into
+        row k % 2, post, and wait for the other process's post.  Returns the
+        row: the step's first exercise prices of every layer."""
         row = self.rows[k % 2]
-        if half == 1:
-            row[self.n_layers // 2 :] = first
-        self.done[half].release()
-        self._wait(half)
-        if half == 1:
-            return first
-        row[: self.n_layers // 2] = first
-        return row
+        row[layers[0] : layers[1]] = first
+        try:
+            self.end.send(b"\0")
+            if self._posted():
+                return row
+        except ConnectionError:  # EPIPE, or ECONNRESET where the other closed with a post unread
+            pass
+        if self.helper is None:
+            raise ChildProcessError("the process that forked this sweep helper is gone")
+        self.helper.join()  # raises the helper's error, or how it died
+        raise ChildProcessError("the sweep's helper process died mid-sweep")
 
-    def _wait(self, half: int) -> None:
-        """Take the other process's post: poll, then block, checking every
-        POLL_S seconds that the other process is still there."""
-        semaphore = self.done[1 - half]
-        deadline = time.perf_counter() + SPIN_S
-        while time.perf_counter() < deadline:
-            if semaphore.acquire(False):
-                return
-            os.sched_yield()
-        while not semaphore.acquire(timeout=POLL_S):
-            if half == 1 and os.getppid() != self.parent:
-                raise ChildProcessError("the process that forked this sweep helper is gone")
-            if half == 0 and self.helper.exited():
-                self.helper.join()  # raises the helper's error, or how it died
-                if semaphore.acquire(False):  # posted just before it exited
-                    return
-                raise ChildProcessError("the sweep's helper process died mid-sweep")
+    def _posted(self) -> bool:
+        """Take the other process's post: read without blocking for up to
+        SPIN_S seconds, then block.  False at end of file."""
+        import socket  # imported by __init__; at the top it would cost every caller's start-up
+
+        flags, deadline = socket.MSG_DONTWAIT, time.perf_counter() + SPIN_S
+        while True:
+            try:
+                return bool(self.end.recv(1, flags))
+            except BlockingIOError:
+                os.sched_yield()
+                if time.perf_counter() >= deadline:
+                    flags = 0
 
 
 def _split(sweep: _Sweep) -> SweepResult:
     """Sweep the low half of the layers here and the high half in a forked
     helper, killed once this sweep ends (by its last exchange or an error)."""
     link = _Link(sweep.n_layers, sweep.n + 1)
-    link.helper = _workers.Child(sweep.run, 1, link)
-    try:
-        return sweep.run(0, link)
-    finally:
-        link.helper.kill()
+    half = sweep.n_layers // 2
+    with link.end, link.helper_end:  # both closed here, also when the fork fails
+        link.helper = _workers.Child(link.help, sweep, (half, sweep.n_layers))
+        try:
+            link.helper_end.close()  # only the helper holds it now: its exit is end of file here
+            return sweep.run((0, half), link)
+        finally:
+            link.helper.kill()
 
 
 def backward_sweep(
@@ -436,6 +438,6 @@ def backward_sweep(
             wide = sweep.n_layers * sweep.widest() > SPLIT_MIN_ENTRIES
             if wide and by_layers and _workers.can_fork():
                 return _split(sweep)
-            return sweep.run()
+            return sweep.run((0, sweep.n_layers))
         finally:
             np.setbufsize(callers)

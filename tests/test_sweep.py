@@ -211,9 +211,15 @@ def refuse_split(run):
     raise SplitAttempted
 
 
+def open_fds():
+    """This process's open file descriptors, or none where there is no /proc."""
+    return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc") else set()
+
+
 @pytest.fixture
 def forced_split(monkeypatch):
-    """Split every sweep; returns the list of sweeps that were split."""
+    """Split every sweep; returns the list of sweeps that were split.  The
+    test must leave open the file descriptors it found open, and no more."""
     if _workers.usable_cpus() < 2:
         pytest.skip("one usable CPU")
     split, real = [], sweep._split
@@ -224,7 +230,9 @@ def forced_split(monkeypatch):
 
     monkeypatch.setattr(sweep, "SPLIT_MIN_ENTRIES", -1)
     monkeypatch.setattr(sweep, "_split", counted)
-    return split
+    fds = open_fds()
+    yield split
+    assert open_fds() == fds
 
 
 @pytest.fixture
@@ -482,6 +490,7 @@ def test_dead_helper_raises_instead_of_hanging(forced_split, deadline, monkeypat
     deaths = [
         (lambda: os._exit(3), "exited with status 3"),
         (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
+        (lambda: os._exit(0), "died mid-sweep"),
     ]
     for action, how in deaths:
         with monkeypatch.context() as patch:
