@@ -12,6 +12,7 @@ import argparse
 import csv
 import functools
 import sys
+import warnings
 from dataclasses import replace
 from math import inf
 from pathlib import Path
@@ -143,24 +144,30 @@ def _roots(job: tuple[ModelParams, int, int, bool]) -> tuple[float, ...]:
     return v + (float(partial.root_at(0.0)), float(partial.root_at(0.5)))
 
 
-def _smoothed(steps: np.ndarray, values: np.ndarray, degree: int) -> np.ndarray:
-    """Polynomial-regression smoothing of the finite part of a boundary."""
+def _smoothed(values: np.ndarray, degree: int) -> np.ndarray:
+    """Polynomial-regression smoothing, over the steps, of the finite part of a
+    boundary.  A fit that numpy warns about (a rank-deficient one) is a
+    ValueError."""
+    steps = np.arange(values.size, dtype=float)
     finite = np.isfinite(values)
     out = np.full_like(values, np.inf)
     if finite.sum() > degree:
-        coeffs = np.polyfit(steps[finite], values[finite], degree)
+        # RankWarning is np.RankWarning in numpy 1.24 and np.exceptions.RankWarning in numpy 2: name neither
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                coeffs = np.polyfit(steps[finite], values[finite], degree)
+            except Warning as exc:
+                raise ValueError(f"cannot smooth the boundary with --smooth-degree {degree}: {exc}") from None
         out[finite] = np.polyval(coeffs, steps[finite])
     else:
         out[finite] = values[finite]
     return out
 
 
-def _write_boundary(out: _Output, name: str, result: FullInfoResult, smooth_degree: int | None = None):
-    """Both regimes' exercise boundaries per step, optionally smoothed."""
-    b0, b1 = result.boundary(0), result.boundary(1)
-    if smooth_degree is not None:
-        steps = np.arange(b0.size, dtype=float)
-        b0, b1 = _smoothed(steps, b0, smooth_degree), _smoothed(steps, b1, smooth_degree)
+def _write_boundary(out: _Output, name: str, result: FullInfoResult, boundaries=None):
+    """Both regimes' exercise boundaries per step, or the given pair of them."""
+    b0, b1 = boundaries or (result.boundary(0), result.boundary(1))
     h = result.lattice.h
     rows = ((k, k * h, float(b0[k]), float(b1[k])) for k in range(b0.size))
     out.write_csv(name, ["step", "time_years", "boundary_regime0", "boundary_regime1"], rows)
@@ -200,9 +207,11 @@ def cmd_boundary(args: argparse.Namespace) -> int:
         args, "boundary", params, N=args.N, literal_pl_exponent=args.literal_pl_exponent, smooth=args.smooth
     )
     result = price_full(params, args.N)
+    # smoothed before any CSV is written, so a fit that fails writes none
+    smoothed = [_smoothed(result.boundary(regime), args.smooth_degree) for regime in (0, 1)] if args.smooth else None
     _write_boundary(out, "boundary.csv", result)
-    if args.smooth:
-        _write_boundary(out, "boundary_smoothed.csv", result, args.smooth_degree)
+    if smoothed:
+        _write_boundary(out, "boundary_smoothed.csv", result, smoothed)
     if out.out_dir is None:
         b0, b1 = result.boundary(0), result.boundary(1)
         print(f"boundary at t=0: regime0 {_fmt(float(b0[0]))}, regime1 {_fmt(float(b1[0]))}")

@@ -144,38 +144,24 @@ def _sure_exercise_index(lattice: Lattice, strike: float, p_up, p_dw, itm: int) 
     return max(itm + 1, _ladder_index(lattice.prices, price, "left"))
 
 
-def _exercised_from(values: np.ndarray, intrinsic: np.ndarray, chunk: int = 16) -> int:
+def _exercised_from(values: np.ndarray, intrinsic: np.ndarray) -> int:
     """Start of the top run of columns where values == intrinsic in every layer."""
-    top = values.shape[1]
-    # Most steps keep their top column or drop only it: test those on their
-    # own.  Layer 0 (the high-drift regime, or belief 0) exercises last, so
-    # its entry alone tells a kept column.
-    for _ in range(min(top, 2)):
+    # This trim and _zeros_below test one column at a time: no measured step
+    # drops more than one at either edge.  Layer 0 (the high-drift regime, or
+    # belief 0) exercises last, so its entry alone tells a kept column.
+    for top in range(values.shape[1], 0, -1):
         x = intrinsic[top - 1]
         if values[0, top - 1] != x or (values[:, top - 1] != x).any():
             return top
-        top -= 1
-    while top > 0:
-        start = max(top - chunk, 0)
-        kept = np.flatnonzero(~np.all(values[:, start:top] == intrinsic[start:top], axis=0))
-        if kept.size:
-            return start + int(kept[-1]) + 1
-        top = start
     return 0
 
 
-def _zeros_below(values: np.ndarray, chunk: int = 16) -> int:
+def _zeros_below(values: np.ndarray) -> int:
     """Length of the bottom run of columns that are exactly 0 in every layer."""
-    width = values.shape[1]
-    # Most steps drop no column or one: test those on their own.
-    for col in range(min(width, 2)):
+    for col in range(values.shape[1]):
         if np.count_nonzero(values[:, col]):
             return col
-    for start in range(2, width, chunk):
-        nonzero = np.flatnonzero(values[:, start : start + chunk].any(axis=0))
-        if nonzero.size:
-            return start + int(nonzero[0])
-    return width
+    return values.shape[1]
 
 
 def _compact(buffer: np.ndarray, start: int, rows: int, cols: int) -> np.ndarray:

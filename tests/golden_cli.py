@@ -85,6 +85,7 @@ CASES = {
     "error-seed-negative": ["simulate", "--N", "20", "--L", "3", "--seed", "-1"],
     "error-x-points-negative": ["perpetual", "--x-points", "-3"],
     "error-smooth-degree-negative": ["boundary", "--N", "50", "--smooth", "--smooth-degree", "-1"],
+    "error-smooth-degree-rank-deficient": ["boundary", "--N", "120", "--smooth", "--smooth-degree", "20"],
     "error-x-min-negative": ["perpetual", "--x-min", "-10", "--x-max", "5", "--x-points", "3"],
     "error-x-max-negative": ["perpetual", "--x-max", "-1", "--x-points", "3"],
     "error-x-min-nan": ["perpetual", "--x-min", "nan", "--x-points", "3"],

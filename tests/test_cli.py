@@ -1,5 +1,6 @@
 import filecmp
 import os
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -122,6 +123,21 @@ def test_boundary_csv_and_smoothing(tmp_path, capsys):
     assert float(last[2]) == BASE.strike and float(last[3]) == BASE.strike
     assert (out_dir / "boundary_smoothed.csv").exists()
     assert (out_dir / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("to_dir", [False, True], ids=["plain", "out"])
+def test_rank_deficient_smoothing_is_an_error_before_any_csv(tmp_path, capsys, to_dir):
+    out_dir = tmp_path / "b"
+    argv = ["boundary", "--N", "120", "--smooth", "--smooth-degree", "20"] + (["--out", str(out_dir)] if to_dir else [])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert caught == []
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--smooth-degree 20" in err and "Warning" not in err
+    assert "wrote" not in out
+    assert sorted(p.name for p in tmp_path.rglob("*")) == (["b", "manifest.txt"] if to_dir else [])
 
 
 def test_surface_csv_layout(tmp_path, capsys):

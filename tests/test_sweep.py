@@ -3,6 +3,7 @@ split across two, work counts and the non-finite guard."""
 
 import os
 import signal
+import threading
 import time
 import tracemalloc
 import warnings
@@ -20,6 +21,7 @@ from esocp import (
     price_full,
     price_full_roots,
     price_partial,
+    simulate,
     sweep,
 )
 
@@ -414,6 +416,40 @@ def test_no_split_inside_a_worker(monkeypatch):
     for pid, surface in _workers.ordered_map(surface_in_worker, [60, 60]):
         assert pid != os.getpid()
         assert np.array_equal(surface, want)
+
+
+def item_and_pid(item):
+    return item, os.getpid()
+
+
+def test_nothing_forks_while_another_thread_runs(forced_split, monkeypatch):
+    # A forked child would inherit the locks that thread holds.  forced_split
+    # skips this test on one CPU, where nothing forks anyway.
+    release = threading.Event()
+    parked = threading.Thread(target=release.wait)
+    parked.start()
+    try:
+        want = full_width_price_partial(BASE, 60, N_BELIEF, keep_slice_at=30)
+        partial = price_partial(BASE, 60, N_BELIEF, keep_surface=True, keep_slice_at=30)
+        for name in ("root_layers", "surface", "slice_values"):
+            assert np.array_equal(getattr(partial, name), want[name]), name
+        assert forced_split == []  # swept without a helper
+
+        replayed, real = [], simulate.replay_draws
+
+        def recorded(*args):
+            replayed.append(os.getpid())
+            return real(*args)
+
+        monkeypatch.setattr(simulate, "replay_draws", recorded)
+        simulate.replay_batch(price_full(BASE, 60), partial, 3 * simulate.BLOCK, 5, (0.5,), chunk_size=simulate.BLOCK)
+        assert replayed == [os.getpid()] * 3  # every share replayed in this process
+
+        assert list(_workers.ordered_map(item_and_pid, range(3))) == [(item, os.getpid()) for item in range(3)]
+    finally:
+        release.set()
+        parked.join()
+    assert_no_child_left()
 
 
 class Engaged(Exception):
