@@ -1,13 +1,14 @@
-"""Forked worker processes: when they may be used, an ordered map over a
-process pool for the CLI, and ``Child``, the one place where esocp itself
-forks a process, and where that process reports its exception, dies and is
-reaped.  ``fork_each`` runs one Child per item (the replay's shares, which
-write to shared memory); the split sweep's helper is a Child too."""
+"""Forked worker processes: when they may be used, and ``Child``, the one place
+where esocp forks a process, which returns its value or reports its exception,
+dies and is reaped.  ``fork_each`` runs one Child per item (the replay's shares);
+``ordered_map``'s workers (the CLI's tables) and the split sweep's helper are Children."""
 
 from __future__ import annotations
 
 import os
 import pickle  # numpy has imported it already
+
+_in_child = False  # set in every Child's own process
 
 
 def usable_cpus() -> int:
@@ -16,88 +17,104 @@ def usable_cpus() -> int:
 
 
 def can_fork() -> bool:
-    """Whether work may go to forked processes here.
-
-    It may with two or more usable CPUs, the fork start method, no other
-    thread running (a forked child would inherit the locks it holds) and
-    outside a process pool's worker (pools never nest), as
-    ``multiprocessing.parent_process()`` tells.  A ``Child`` passes that
-    test, but none forks (a replay share or the split sweep's helper).  The
-    multiprocessing and threading modules are imported here, not at the
-    top, because importing them costs every caller's start-up.
-    """
-    if usable_cpus() < 2:
-        return False
-    import multiprocessing
+    """Whether work may go to forked processes here: with two or more usable CPUs,
+    where ``os.fork`` exists, outside a ``Child`` (Children never fork) and with
+    no other thread running (a forked child would inherit the locks it holds).
+    threading is imported here: at the top it would cost every caller's start-up."""
     import threading
 
-    return (
-        "fork" in multiprocessing.get_all_start_methods()
-        and threading.active_count() == 1
-        and multiprocessing.parent_process() is None
-    )
+    return usable_cpus() >= 2 and hasattr(os, "fork") and not _in_child and threading.active_count() == 1
 
 
 def ordered_map(fn, items):
     """Yield fn(item) for each item, in order, across the usable CPUs.
 
-    fn must be a module-level function and every item picklable (workers
-    receive both through a pipe).  Workers are forked, so they start with
-    every module this process has imported.  This is the in-process map with
-    one item or where ``can_fork()`` says no.  An exception raised by fn is
-    re-raised here when its item comes up.
+    One ``Child`` per usable CPU claims items, one 4-byte index record at a time,
+    from a pipe filled before the first fork (so no lock exists), runs fn on them
+    (a closure will do), stops at its first exception and returns each index it
+    ran with fn's result or exception.  The first failing item's exception is
+    raised when its item comes up; an item that no child returned, or a dead
+    child, raises ``ChildProcessError``.  In-process with one item or where
+    ``can_fork()`` says no.
     """
     items = list(items)
     workers = min(len(items), usable_cpus())
-    if workers > 1 and can_fork():
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            yield from pool.map(fn, items)
+    if workers < 2 or not can_fork():
+        yield from map(fn, items)
         return
-    yield from map(fn, items)
+    # At most 128 records (512 bytes, the least PIPE_BUF POSIX allows: one write
+    # that an empty pipe takes whole); past 128 items a record names a run of them.
+    run = -(-len(items) // 128)
+
+    def work(_) -> dict:
+        ran = {}
+        while record := os.read(claims, 4):  # end of file once every record is claimed
+            first = int.from_bytes(record, "little") * run
+            for i in range(first, min(first + run, len(items))):
+                try:
+                    ran[i] = True, fn(items[i])
+                except Exception as exc:
+                    ran[i] = False, _portable(exc)
+                    return ran
+        return ran
+
+    claims, feed = os.pipe()
+    try:
+        with open(feed, "wb", buffering=0) as pipe:  # closed before the fork: no child holds it
+            pipe.write(b"".join(r.to_bytes(4, "little") for r in range(-(-len(items) // run))))
+        done = {i: r for part in fork_each(work, range(workers)) for i, r in (part or {}).items()}
+    finally:
+        os.close(claims)
+    for i in range(len(items)):
+        if i not in done:
+            raise ChildProcessError(f"no worker process returned item {i} of {len(items)}")
+        ok, result = done[i]
+        if not ok:
+            raise result
+        yield result
 
 
-def fork_each(fn, items) -> None:
-    """Run fn(item) for every item, each in a ``Child`` forked for it, and
-    wait for all of them.
+def fork_each(fn, items) -> list:
+    """Return [fn(item) for item in items], each run in a ``Child`` forked for it.
 
-    Nothing passes between the processes but errors: a child starts with a
-    copy of this process, fn included (a closure will do), and fn must leave
-    its results in memory shared before the fork.  This runs fn in-process,
-    item after item, with one item or where ``can_fork()`` says no.  The
-    children are joined in order, so the first failing item's error is
-    raised here (see ``Child.join``).  If this process fails or is
-    interrupted while it waits, every child is killed and reaped.
+    fn reaches a child through the fork (a closure will do); its value comes back
+    pickled, and larger results may go to memory shared before the fork.  This
+    runs fn in-process with one item or where ``can_fork()`` says no.  Joined in
+    order, the first failing item's error is raised here (see ``Child.join``); if
+    this process fails or is interrupted while it waits, every child is killed and reaped.
     """
     items = list(items)
     if len(items) < 2 or not can_fork():
-        for item in items:
-            fn(item)
-        return
+        return [fn(item) for item in items]
     children = []
     try:
         for item in items:
             children.append(Child(fn, item))
-        for child in children:
-            child.join()
+        return [child.join() for child in children]
     finally:
         for child in children:
             child.kill()
 
 
+def _portable(exc: BaseException) -> BaseException:
+    """exc, or if it does not survive pickling a RuntimeError carrying its type name and message."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+
+
 class Child:
     """A process forked to run fn(*args), and the pipe through which it reports.
 
-    The child never returns into the caller's stack: it runs fn, sends any
-    exception it raises through the pipe (pickled; one that does not survive
-    pickling goes as a RuntimeError carrying its type name and message) and
-    exits, with status 0 only if fn returned.  Its exit closes every
-    descriptor it holds, so a caller that waits on a pipe or socket whose
-    other end only the child holds sees end of file there, and ``join``
-    then raises what the child reported.  The caller must end every Child
-    with ``join`` or ``kill``.
+    The child never returns into the caller's stack: it runs fn, sends what
+    fn returned or the exception it raised (see ``_portable``) through the
+    pipe, pickled and tagged "value" or "error", and exits, with status 0
+    only if fn returned.  Its exit closes every descriptor it holds, so a
+    caller that waits on a pipe or socket whose other end only the child
+    holds sees end of file there, and ``join`` then raises what the child
+    reported.  The caller must end every Child with ``join`` or ``kill``.
     """
 
     def __init__(self, fn, *args):
@@ -109,26 +126,26 @@ class Child:
             os.close(write_end)
             raise
         if self.pid == 0:
+            global _in_child
+            _in_child = True
             status = 1
             try:
                 os.close(self.pipe)
-                fn(*args)
-                status = 0
-            except BaseException as exc:
                 try:
-                    data = pickle.dumps(exc)
-                    pickle.loads(data)
-                except Exception:
-                    data = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+                    data = pickle.dumps(("value", fn(*args)))
+                    status = 0
+                except BaseException as exc:
+                    data = pickle.dumps(("error", _portable(exc)))
                 with os.fdopen(write_end, "wb") as pipe:
                     pipe.write(data)
             finally:
                 os._exit(status)
         os.close(write_end)  # else children forked later would hold it open
 
-    def join(self) -> None:
-        """Wait for the child to exit and reap it.  Raises its exception, or
-        ``ChildProcessError`` if it died or exited non-zero without sending one."""
+    def join(self):
+        """Wait for the child to exit and reap it.  Returns fn's value (None if
+        it exited 0 without sending one) or raises fn's exception, or
+        ``ChildProcessError`` if it was killed or exited non-zero without one."""
         # Read through a duplicate: if this process is interrupted mid-read,
         # the pipe itself is still open for ``kill`` to close.
         with os.fdopen(os.dup(self.pipe), "rb") as pipe:
@@ -136,9 +153,12 @@ class Child:
         _, status = os.waitpid(self.pid, 0)
         pid, self.pid = self.pid, None
         os.close(self.pipe)
-        if data:
-            raise pickle.loads(data)
         code = os.waitstatus_to_exitcode(status)
+        if data and code >= 0:  # a killed child may have sent only part of it
+            tag, outcome = pickle.loads(data)
+            if tag == "error":
+                raise outcome
+            return outcome
         if code:
             how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
             raise ChildProcessError(f"child process {pid} died without reporting an error: it {how}")

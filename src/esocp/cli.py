@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import sys
 import warnings
 from dataclasses import replace
@@ -315,11 +314,6 @@ TABLE1_SIGMA = (0.20, 0.30, 0.40)
 TABLE1_LAMBDA = (0.10, 0.20)
 
 
-def _call(job):
-    """Run job, a picklable zero-argument callable (a worker's task)."""
-    return job()
-
-
 def cmd_table1(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
     out = _Output(args, "table1", params, N=args.N, L=args.L, literal_pl_exponent=args.literal_pl_exponent)
@@ -336,9 +330,10 @@ def cmd_table1(args: argparse.Namespace) -> int:
     # The insiders of the cells that share a lattice are one job; these go
     # first, then one outsider job per cell.  A group returns a failing run's
     # error as a value, so each error is raised when its cell comes up.
-    jobs = [functools.partial(price_full_roots, members, args.N) for members in groups.values()]
-    jobs += [functools.partial(_roots, (cell, args.N, args.L, False)) for cell in cells]
-    results = ordered_map(_call, jobs)
+    def run(job):  # a group's list of runs, or one cell
+        return price_full_roots(job, args.N) if isinstance(job, list) else _roots((job, args.N, args.L, False))
+
+    results = ordered_map(run, [*groups.values(), *cells])
     print(f"{'mu0':>5} {'mu1':>5} {'sigma':>6} {'lambda':>6}   {'v0':>7} {'v1':>7} {'u(0)':>7} {'u(0.5)':>7}")
     insiders = {}
     for members in groups.values():
@@ -369,8 +364,8 @@ def cmd_converge(args: argparse.Namespace) -> int:
     )
     jobs = [(params, n, args.L, True) for n in args.N_list]
     jobs += [(params, args.N, l, False) for l in args.L_list]
-    # One pool for both tables; each zip stops at the end of its own list
-    # before asking the shared iterator for another result.
+    # One ordered_map for both tables; each zip stops at the end of its own
+    # list before asking the shared iterator for another result.
     results = ordered_map(_roots, jobs)
     tables = []
     for sizes, header in ((args.N_list, ["n", "v0", "v1", "u0", "u05"]), (args.L_list, ["l", "u0", "u05"])):

@@ -32,7 +32,7 @@ def assert_no_child_left():
 
 
 def one_cpu(monkeypatch):
-    """Make the worker pools see a single usable CPU (so they run in-process)."""
+    """Make ``_workers`` see a single usable CPU (so nothing forks)."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
 

@@ -3,8 +3,9 @@
 Deliberately plain implementations: a single-regime CRR pricer written from
 scratch (no package imports), an Euler scheme for the likelihood-ratio SDE,
 the full-width backward sweeps of both lattice pricers, a path-at-a-time
-Monte Carlo replay, and the value of the grid's exercise policy on the exact
-belief tree.  The full-width sweeps take their lattice, chain and
+Monte Carlo replay, the value of the grid's exercise policy on the exact
+belief tree, and the outsider's exact value without a switch (lambda = 0),
+from the parameters alone.  The full-width sweeps take their lattice, chain and
 belief grid from the package but update every node of every step, so they
 check the active-window sweeps bit for bit; the path-at-a-time replay checks
 the vectorised replay engine the same way on identical uniforms.
@@ -232,3 +233,34 @@ def tree_policy_value(partial) -> float:
         stop = stock >= surface_threshold(partial.surface[k], partial, beliefs[k])
         value = np.where(stop, np.maximum(stock - params.strike, 0.0), cont)
     return float(value[0])
+
+
+def no_switch_outsider_value(params, n: int) -> float:
+    """The outsider's exact value on the N-step lattice when lambda = 0.
+
+    The regime never switches, so the belief after j up moves in k steps is a
+    closed form: its log-odds are log(y0 / (1 - y0)) + j log(p_up1 / p_up0)
+    + (k - j) log(p_dw1 / p_dw0).  The value then recombines on the stock
+    lattice, and one backward induction over the k + 1 nodes of each step is
+    exact: O(N^2) work, no belief grid, and nothing from the package's
+    filtering, pricing or sweep code.
+    """
+    if params.lam != 0.0:
+        raise ValueError(f"the closed-form posterior needs lambda = 0, got {params.lam}")
+    h = params.maturity / n
+    up = exp(params.sigma * sqrt(h))
+    step = sqrt(h) if params.literal_exponent else h  # the growth exponent mu * step
+    p0, p1 = ((exp(mu * step) - 1.0 / up) / (up - 1.0 / up) for mu in (params.mu0, params.mu1))
+    disc = exp(-params.r * h)
+    with np.errstate(divide="ignore"):  # y0 = 0 or 1: log-odds -inf or +inf
+        prior = np.log(params.y0) - np.log1p(-params.y0)
+    values = np.maximum(params.spot * up ** (2.0 * np.arange(n + 1) - n) - params.strike, 0.0)
+    for k in range(n - 1, -1, -1):
+        j = np.arange(k + 1)
+        log_odds = prior + j * log(p1 / p0) + (k - j) * log((1.0 - p1) / (1.0 - p0))
+        with np.errstate(over="ignore"):
+            y = 1.0 / (1.0 + np.exp(-log_odds))
+        p_up = p0 * (1.0 - y) + p1 * y
+        cont = disc * (p_up * values[1:] + (1.0 - p_up) * values[:-1])
+        values = np.maximum(params.spot * up ** (2.0 * j - k) - params.strike, cont)
+    return float(values[0])

@@ -1,5 +1,7 @@
 import filecmp
 import os
+import signal
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +14,7 @@ from esocp.cli import main
 from esocp.lattice import AdmissibilityError
 from esocp.simulate import simulate_joint_path, surface_threshold
 
-from conftest import BASE, one_cpu
+from conftest import BASE, assert_no_child_left, one_cpu
 
 PARAM_FILE = (
     "mu0=2%\nmu1=-2%\nsigma=30%\nlambda=10%\nr=2.5%\n"
@@ -240,6 +242,92 @@ def test_ordered_map_runs_items_in_worker_processes_in_order():
     results = list(_workers.ordered_map(_item_and_pid, range(7)))
     assert [item for item, _ in results] == list(range(7))
     assert os.getpid() not in {pid for _, pid in results}
+    assert len({pid for _, pid in results}) <= _workers.usable_cpus()
+
+
+forked = pytest.mark.skipif(_workers.usable_cpus() < 2, reason="one usable CPU")
+
+
+@forked
+def test_ordered_map_runs_a_closure_in_workers():
+    offset = 10
+    results = list(_workers.ordered_map(lambda item: (item + offset, os.getpid()), range(5)))
+    assert [value for value, _ in results] == [10, 11, 12, 13, 14]
+    assert os.getpid() not in {pid for _, pid in results}
+    assert_no_child_left()
+
+
+def test_ordered_map_takes_more_items_than_a_pipe_holds():
+    # 20,000 records of 4 bytes would not fit a 64 KiB pipe: where the caller
+    # blocked writing them, the alarm fails the test instead of a hang
+    def expire(signum, frame):
+        raise TimeoutError("ordered_map did not finish within 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    try:
+        assert list(_workers.ordered_map(lambda item: 2 * item, range(20_000))) == [2 * i for i in range(20_000)]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert_no_child_left()
+
+
+@forked
+def test_ordered_map_raises_the_lowest_failing_items_error_after_every_earlier_item(tmp_path):
+    # A worker stops at its first error, so items 3 and 5 fail in different
+    # workers; item 3 fails last, and its error is still the one raised.
+    def fn(item):
+        if item in (3, 5):
+            if item == 3:
+                time.sleep(0.2)
+            (tmp_path / str(item)).write_text(str(os.getpid()))
+            raise KeyError(f"item {item}")
+        return item
+
+    got = []
+    with pytest.raises(KeyError, match="item 3"):
+        for result in _workers.ordered_map(fn, range(8)):
+            got.append(result)
+    assert got == [0, 1, 2]
+    pids = {(tmp_path / item).read_text() for item in ("3", "5")}
+    assert len(pids) == 2 and str(os.getpid()) not in pids
+    assert_no_child_left()
+
+
+@forked
+def test_ordered_map_sends_an_unpicklable_error_as_a_runtime_error():
+    def fn(item):
+        class LocalError(Exception):  # pickle cannot find a local class
+            pass
+
+        if item == 2:
+            raise LocalError(f"item {item} failed")
+        return item
+
+    with pytest.raises(RuntimeError, match="LocalError: item 2 failed"):
+        list(_workers.ordered_map(fn, range(4)))
+    assert_no_child_left()
+
+
+@forked
+@pytest.mark.parametrize(
+    "action, message",
+    [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
+        (lambda: os._exit(0), r"no worker process returned item \d of 6"),
+    ],
+    ids=["killed", "exit 0"],
+)
+def test_ordered_map_raises_when_a_worker_dies(action, message):
+    def fn(item):
+        if item == 2:
+            action()
+        return item
+
+    with pytest.raises(ChildProcessError, match=message):
+        list(_workers.ordered_map(fn, range(6)))
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("cpus", ["all", "one"])

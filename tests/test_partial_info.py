@@ -19,7 +19,7 @@ from esocp import (
 )
 
 from conftest import BASE, PRODUCTION_N
-from reference import crr_american_call, tree_policy_value
+from reference import crr_american_call, no_switch_outsider_value, tree_policy_value
 
 
 def test_single_step_closed_form():
@@ -68,6 +68,41 @@ def test_grid_approximation_converges_to_exact_oracle():
         gaps.append(abs(approx - exact))
     assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 1e-3
+
+
+NO_SWITCH = replace(BASE, lam=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 5, 12, 20])
+def test_no_switch_oracle_equals_exact_enumeration(n):
+    other = replace(NO_SWITCH, mu0=0.08, mu1=-0.10, sigma=0.2, literal_exponent=True)
+    for params in (NO_SWITCH, other):
+        for y0 in (0.0, 0.3, 0.5, 0.9, 1.0):
+            p = replace(params, y0=y0)
+            assert no_switch_outsider_value(p, n) == pytest.approx(price_partial_exact(p, n), rel=1e-12, abs=0)
+
+
+NO_SWITCH_BELIEFS = (0.3, 0.5, 0.9)
+
+
+@pytest.fixture(scope="module")
+def no_switch_exact():
+    return np.array([no_switch_outsider_value(replace(NO_SWITCH, y0=y0), PRODUCTION_N) for y0 in NO_SWITCH_BELIEFS])
+
+
+@pytest.fixture(scope="module")
+def no_switch_grid():
+    return price_partial(NO_SWITCH, PRODUCTION_N, 250).root_at(np.array(NO_SWITCH_BELIEFS))
+
+
+def test_grid_is_above_the_no_switch_oracle_at_production_size(no_switch_exact, no_switch_grid):
+    # the value is convex in the belief, so interpolating it between layers overstates it
+    assert np.all(no_switch_grid >= no_switch_exact)
+
+
+def test_grid_gap_to_the_no_switch_oracle_shrinks_with_L(no_switch_exact, no_switch_grid):
+    coarse = price_partial(NO_SWITCH, PRODUCTION_N, 101).root_at(np.array(NO_SWITCH_BELIEFS))
+    assert np.all(no_switch_grid - no_switch_exact < coarse - no_switch_exact)
 
 
 def test_sandwich_between_insider_values():
