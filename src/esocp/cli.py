@@ -26,6 +26,7 @@ from .partial_info import price_partial
 from .perpetual import BracketError, NoFiniteBoundary, solve_perpetual
 from .simulate import (
     RNG_NAME,
+    agent_labels,
     aggregate_stats,
     replay_batch,
     replay_policies,
@@ -121,9 +122,13 @@ class _Output:
         print(f"wrote {self.out_dir / name}")
 
 
-def _check_beliefs(beliefs) -> None:
+def _check_beliefs(beliefs, labelled: bool = False) -> None:
+    """--y0 values outside [0, 1] are usage errors; so are, where each names an
+    outcome (labelled, as in ``simulate``), two distinct values with one label."""
     try:
         check_beliefs(beliefs, "--y0")
+        if labelled:
+            agent_labels(beliefs)
     except ValueError as exc:
         raise UsageError(exc) from None
 
@@ -258,7 +263,7 @@ def cmd_perpetual(args: argparse.Namespace) -> int:
 def _export_paths(out: _Output, params, full, partial, seed: int, n_export: int, belief_starts) -> None:
     """Write paths 0..n_export-1 of the batch stream, with the thresholds each
     agent's replay compared the stock against."""
-    agents = ["insider"] + [f"outsider(y0={y0:g})" for y0 in belief_starts]
+    agents = agent_labels(belief_starts)
     header = ["step", "time", "stock", "regime"] + [f"belief_y0={y0:g}" for y0 in belief_starts]
     header += ["insider_boundary"] + [f"outsider_boundary_y0={y0:g}" for y0 in belief_starts]
     header += ["exercise_insider"] + [f"exercise_outsider_y0={y0:g}" for y0 in belief_starts]
@@ -280,7 +285,7 @@ def _export_paths(out: _Output, params, full, partial, seed: int, n_export: int,
 def cmd_simulate(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
     belief_starts = tuple(args.y0_list) if args.y0_list else (0.0, 0.5)
-    _check_beliefs(belief_starts)
+    _check_beliefs(belief_starts, labelled=True)
     n_export = min(args.export_paths, args.paths)
     out = _Output(
         args, "simulate", params, N=args.N, L=args.L, seed=args.seed, paths=args.paths,

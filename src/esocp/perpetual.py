@@ -70,11 +70,6 @@ class PerpetualSolution:
         out = np.where(x < self.x1, low, np.where(x < self.x0, mid, x - k))
         return float(out) if out.ndim == 0 else out
 
-    def threshold_equation(self, x) -> float | np.ndarray:
-        """Residual of the x0 matching equation at a candidate threshold."""
-        k = self.params.strike
-        return _threshold_residual(x, self.A, self.B, self.D, self.beta, self.delta, k, self.x1)
-
 
 def solve_perpetual(params: ModelParams) -> PerpetualSolution | NoFiniteBoundary:
     """Solve the perpetual problem; returns NoFiniteBoundary when mu1 >= r.

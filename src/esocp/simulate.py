@@ -5,9 +5,11 @@ Reproducibility contract: paths come in blocks of BLOCK = 1024.  Block b
 covers paths [b*BLOCK, (b+1)*BLOCK) and draws all its uniforms from one
 stream, ``default_rng((master_seed, b)).random((N + 2, BLOCK))``, laid out
 step-major: row 0 decides the initial regime, row 1 the switch step, row
-k + 2 the move over step k, and column c belongs to path b*BLOCK + c.  Path i
-is therefore the same whatever the number of paths or the chunk size, and
-``simulate_joint_path`` with seed (master_seed, i) reproduces batch path i.
+k + 2 the move over step k, and column c belongs to path b*BLOCK + c.  The
+stream is read SLAB_ROWS rows at a time (``block_rows``), which draws the same
+numbers.  Path i is therefore the same whatever the number of paths or the
+chunk size, and ``simulate_joint_path`` with seed (master_seed, i) reproduces
+batch path i.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import mmap
 from dataclasses import dataclass, replace
 from math import inf, log, nan
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,23 +32,40 @@ BLOCK = 1024
 RNG_NAME = f"numpy PCG64 (default_rng), stream (seed, block) per block of {BLOCK} paths, step-major"
 
 _ROWS_BEFORE_MOVES = 2  # initial-regime draw + switch-step draw
-_DEFAULT_CHUNK_UNIFORMS = 4_000_000  # about 32 MB of uniforms per chunk
+# Rows drawn per refill of a stream.  On a 2-core KVM guest, slabs of 8, 16,
+# 32 and 64 rows replayed 100k paths at N=500 equally fast within noise, and
+# each child's peak RSS was 41, 44, 50 and 61 MB: 16 rows keep nearly all of
+# that saving with half the refills of 8.  At least 2, so that rows 0 and 1
+# come from one slab.
+SLAB_ROWS = 16
+# About 32 MB per chunk, for its slab plus replay_draws' per-path arrays, of
+# which there are about 12 plus 4 per agent (8 bytes each).
+_CHUNK_BYTES = 32 << 20
 
 
-def block_uniforms(master_seed: int, block: int, n_steps: int) -> np.ndarray:
-    """The (N + 2, BLOCK) step-major uniforms of one block of paths."""
-    return np.random.default_rng((master_seed, block)).random((n_steps + _ROWS_BEFORE_MOVES, BLOCK))
+def block_rows(master_seed: int, blocks: range, n_steps: int):
+    """Yield the N + 2 step-major uniform rows of the paths of blocks, in order.
+
+    Row r is the row r of each block's ``default_rng((master_seed, b))``
+    stream, side by side.  The rows are views of one (SLAB_ROWS, paths) slab
+    that every stream refills SLAB_ROWS rows at a time, so a row holds its
+    numbers only until a row of the next slab is asked for.
+    """
+    n_rows = n_steps + _ROWS_BEFORE_MOVES
+    streams = [np.random.default_rng((master_seed, b)) for b in blocks]
+    slab = np.empty((min(SLAB_ROWS, n_rows), len(streams) * BLOCK))
+    drawn = np.empty((len(slab), BLOCK))  # Generator.random writes only contiguous arrays
+    for first in range(0, n_rows, SLAB_ROWS):
+        rows = slab[: min(SLAB_ROWS, n_rows - first)]
+        for c, stream in enumerate(streams):
+            rows[:, c * BLOCK : (c + 1) * BLOCK] = stream.random(out=drawn[: len(rows)])
+        yield from rows
 
 
 def path_uniforms(master_seed: int, index: int, n_steps: int) -> np.ndarray:
-    """The (N + 2,) uniforms of path index: its column of its block's
-    ``block_uniforms``, drawn one row at a time into one reused row."""
-    rng = np.random.default_rng((master_seed, index // BLOCK))
-    row = np.empty(BLOCK)
-    draws = np.empty(n_steps + _ROWS_BEFORE_MOVES)
-    for k in range(draws.size):
-        draws[k] = rng.random(out=row)[index % BLOCK]
-    return draws
+    """The (N + 2,) uniforms of path index: its column of its block's rows."""
+    block, column = divmod(index, BLOCK)
+    return np.array([row[column] for row in block_rows(master_seed, range(block, block + 1), n_steps)])
 
 
 @dataclass(frozen=True)
@@ -231,8 +250,10 @@ def replay_batch(
     Paths are drawn block by block (see the module docstring).  The blocks
     are split into one near-equal contiguous share per usable CPU, and each
     share is replayed in a child forked for it (``_workers.fork_each``), a
-    chunk of whole blocks at a time.  chunk_size (paths, rounded up to whole
-    blocks) bounds one chunk's uniforms; it does not change the results.
+    chunk of whole blocks at a time, each chunk's uniforms streamed from
+    ``block_rows``.  chunk_size (paths, rounded up to whole blocks) bounds one
+    chunk's slab and per-path arrays; it does not change the results.  By
+    default a chunk takes about 32 MB, which holds a share of 100k paths.
     Every agent's outcomes live in one anonymous shared mapping made before
     the fork: each child draws its own blocks and writes its paths' outcomes
     in place, so nothing is pickled either way, and the returned arrays are
@@ -242,14 +263,14 @@ def replay_batch(
     """
     _check_policies(full_result, partial_result, "partial pricing")
     check_beliefs(belief_starts, "belief starts")
+    agents = list(dict.fromkeys(agent_labels(belief_starts)))
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     n = full_result.lattice.n_steps
     n_blocks = -(-n_paths // BLOCK)
     if chunk_size is None:
-        chunk_size = _DEFAULT_CHUNK_UNIFORMS // (n + _ROWS_BEFORE_MOVES)
+        chunk_size = _CHUNK_BYTES // (8 * (SLAB_ROWS + 12 + 4 * len(agents)))
     chunk_blocks = max(1, -(-chunk_size // BLOCK))
-    agents = list(dict.fromkeys(_agents(belief_starts)))
     size = len(agents) * n_blocks * BLOCK
     shared = mmap.mmap(-1, 3 * 8 * size)
     steps = np.frombuffer(shared, np.int64, size).reshape(len(agents), -1)
@@ -257,15 +278,9 @@ def replay_batch(
     steps.fill(-2)  # never an outcome: marks a path no share wrote
 
     def replay_share(share: range) -> None:
-        # one uniform buffer for all the share's chunks: a fresh one per chunk
-        # made the child fault its pages in again and again
-        buffer = np.empty((n + _ROWS_BEFORE_MOVES, min(chunk_blocks, len(share)) * BLOCK))
         for first in range(share.start, share.stop, chunk_blocks):
             blocks = range(first, min(first + chunk_blocks, share.stop))
-            draws = buffer[:, : len(blocks) * BLOCK]
-            for c, b in enumerate(blocks):
-                draws[:, c * BLOCK : (c + 1) * BLOCK] = block_uniforms(master_seed, b, n)
-            out = replay_draws(full_result, partial_result, draws, belief_starts)
+            out = replay_draws(full_result, partial_result, block_rows(master_seed, blocks, n), belief_starts)
             paths = slice(blocks.start * BLOCK, blocks.stop * BLOCK)
             for a, agent in enumerate(agents):
                 steps[a, paths] = out[agent].exercise_step
@@ -283,19 +298,33 @@ def replay_batch(
     }
 
 
-def _agents(belief_starts: Sequence[float]) -> list[str]:
-    return ["insider"] + [f"outsider(y0={y0:g})" for y0 in belief_starts]
+def agent_labels(belief_starts: Sequence[float]) -> list[str]:
+    """The outcome keys: "insider", then "outsider(y0=...)" per belief start.
+
+    An exact repeat of a belief repeats its label.  Two distinct beliefs with
+    one label (0.1234567 and 0.1234568 both read "0.123457") raise
+    ``ValueError``: their outcomes would share one key.
+    """
+    labels = [f"outsider(y0={y0:g})" for y0 in belief_starts]
+    first: dict[str, float] = {}
+    for label, y0 in zip(labels, belief_starts):
+        if first.setdefault(label, y0) != y0:
+            raise ValueError(f"belief starts {first[label]!r} and {y0!r} share the outcome label {label}")
+    return ["insider"] + labels
 
 
 def replay_draws(
     full_result: FullInfoResult,
     partial_result: PartialInfoResult,
-    draws: np.ndarray,
+    draws: Iterable[np.ndarray],
     belief_starts: Sequence[float] = (0.0, 0.5),
 ) -> dict[str, AgentOutcomes]:
-    """Replay every policy on the paths of a step-major (N + 2, M) uniform matrix.
+    """Replay every policy on the paths of N + 2 step-major uniform rows.
 
-    Column i is one path, its rows used as in the module docstring.  Each
+    draws yields (M,) rows in order, as an (N + 2, M) matrix or ``block_rows``
+    do; each row is read before the next is asked for, except that rows 0 and
+    1 are read together.  Column i is one path, its rows used as in the module
+    docstring.  Each
     step runs over all paths at once: stock prices are read from
     ``Lattice.level_prices`` and only the realised branch of the filter is
     evaluated (the operations of ``update_belief``, in its order).  A
@@ -304,15 +333,17 @@ def replay_draws(
     """
     params, lattice, q, p = full_result.params, full_result.lattice, full_result.q, full_result.p
     n = lattice.n_steps
-    m = draws.shape[1]
     b0, b1 = full_result.boundary(0), full_result.boundary(1)
     surface = partial_result.surface
     # An interpolated threshold is at least the smaller of its two layers up to
     # rounding; the relative margin keeps every possible crossing a candidate.
     surface_floor = np.min(surface, axis=1) * (1.0 - 1e-12)
 
-    switch = _switch_steps(params, q, draws[0], draws[1])
-    agents = _agents(belief_starts)
+    agents = agent_labels(belief_starts)
+    rows = iter(draws)
+    u_regime = next(rows)
+    m = u_regime.size
+    switch = _switch_steps(params, q, u_regime, next(rows))
     steps = {a: np.full(m, -1, dtype=np.int64) for a in agents}
     prices = {a: np.full(m, nan) for a in agents}
     beliefs = [np.full(m, float(y0)) for y0 in belief_starts]
@@ -343,7 +374,7 @@ def replay_draws(
             break
 
         p_up[order[entered[k] : entered[k + 1]]] = p.p_up1
-        np.less(draws[k + _ROWS_BEFORE_MOVES], p_up, out=up)
+        np.less(next(rows), p_up, out=up)
         j += up
         # branch-free select: one product is exactly 0, the other the probability
         np.logical_not(up, out=down)

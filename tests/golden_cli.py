@@ -68,6 +68,9 @@ CASES = {
     "error-domain": ["price-full", "--N", "50", "--mu1", "3%"],
     "error-belief-price-partial": ["price-partial", "--y0", "1.5"],
     "error-belief-simulate": ["simulate", "--y0", "1.5"],
+    # two distinct beliefs whose outcome labels are both outsider(y0=0.123457)
+    "error-belief-labels-collide": ["simulate", "--N", "20", "--L", "3", "--paths", "5",
+                                    "--y0", "0.1234567", "--y0", "0.1234568"],
     "error-table1-first-cell": ["table1", "--N", "1", "--maturity", "100"],
     "error-table1-first-cell@one-cpu": ["table1", "--N", "1", "--maturity", "100"],
     "error-table1-middle-cell": ["table1", "--N", "5", "--L", "3", "--maturity", "10"],

@@ -3,9 +3,9 @@
 Deliberately plain implementations: a single-regime CRR pricer written from
 scratch (no package imports), an Euler scheme for the likelihood-ratio SDE,
 the full-width backward sweeps of both lattice pricers, a path-at-a-time
-Monte Carlo replay, the value of the grid's exercise policy on the exact
-belief tree, and the outsider's exact value without a switch (lambda = 0),
-from the parameters alone.  The full-width sweeps take their lattice, chain and
+Monte Carlo replay on a materialised block of uniforms, the value of the
+grid's exercise policy on the exact belief tree, and the outsider's exact
+value without a switch (lambda = 0), from the parameters alone.  The full-width sweeps take their lattice, chain and
 belief grid from the package but update every node of every step, so they
 check the active-window sweeps bit for bit; the path-at-a-time replay checks
 the vectorised replay engine the same way on identical uniforms.
@@ -20,7 +20,7 @@ import numpy as np
 from esocp.filtering import _EXACT_HIT_TOL, build_grid, predict_return_prob, update_belief
 from esocp.full_info import first_exercise_prices
 from esocp.lattice import build_lattice, regime_return_probs, transition_matrix
-from esocp.simulate import surface_threshold
+from esocp.simulate import BLOCK, surface_threshold
 
 
 def crr_american_call(
@@ -154,6 +154,12 @@ def grid_threshold(surface_row: np.ndarray, n_grid: int, y: float) -> float:
     if isfinite(s_lo) and isfinite(s_hi):
         return s_lo * (1.0 - w) + s_hi * w
     return inf
+
+
+def block_uniforms(master_seed: int, block: int, n_steps: int) -> np.ndarray:
+    """The (N + 2, BLOCK) step-major uniforms of one block of paths, drawn in one
+    call: the whole stream that ``simulate.block_rows`` reads a slab at a time."""
+    return np.random.default_rng((master_seed, block)).random((n_steps + 2, BLOCK))
 
 
 def path_at_a_time_replay(full, partial, uniforms: np.ndarray, belief_starts) -> dict:

@@ -28,6 +28,7 @@ from esocp import (
     verify_odes,
 )
 from esocp.model import derived
+from esocp.perpetual import _threshold_residual
 
 from conftest import BASE, PRODUCTION_L, PRODUCTION_N
 from reference import crr_american_call, euler_likelihood_ratio
@@ -165,8 +166,8 @@ def test_criterion_07_perpetual_closed_form():
     quad = abs(
         0.5 * BASE.sigma**2 * sol.gamma**2 + (BASE.mu1 - 0.5 * BASE.sigma**2) * sol.gamma - BASE.r
     )
-    root_res = abs(sol.threshold_equation(sol.x0)) / sol.x0
     k = BASE.strike
+    root_res = abs(_threshold_residual(sol.x0, sol.A, sol.B, sol.D, sol.beta, sol.delta, k, sol.x1)) / sol.x0
     ratio_d = (sol.x1 / sol.x0) ** sol.delta
     ratio_b = (sol.x1 / sol.x0) ** sol.beta
     matching = max(

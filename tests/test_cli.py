@@ -408,6 +408,19 @@ def test_belief_outside_unit_interval_is_rejected_before_pricing(capsys, monkeyp
     assert out == ""
 
 
+def test_beliefs_with_one_label_are_a_usage_error_before_pricing(tmp_path, capsys, monkeypatch):
+    def no_pricing(*args, **kwargs):
+        raise AssertionError("priced before checking the --y0 labels")
+
+    monkeypatch.setattr(cli, "price_full", no_pricing)
+    monkeypatch.setattr(cli, "price_partial", no_pricing)
+    code, out, err = run(capsys, "simulate", "--y0", "0.1234567", "--y0", "0.1234568", "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert err == "error: belief starts 0.1234567 and 0.1234568 share the outcome label outsider(y0=0.123457)\n"
+    assert out == ""
+    assert not (tmp_path / "o").exists()
+
+
 def test_converge_outputs(tmp_path, capsys):
     out_dir = tmp_path / "c"
     code, out, _ = run(

@@ -6,7 +6,7 @@ import pytest
 
 from esocp import NoFiniteBoundary, solve_perpetual, verify_odes
 from esocp.model import derived
-from esocp.perpetual import BracketError, DegenerateParameterError
+from esocp.perpetual import BracketError, DegenerateParameterError, _threshold_residual
 
 from conftest import BASE
 
@@ -48,7 +48,8 @@ def test_switched_threshold_value(sol):
 
 
 def test_threshold_equation_residual(sol):
-    assert abs(sol.threshold_equation(sol.x0)) < 1e-10 * sol.x0
+    residual = _threshold_residual(sol.x0, sol.A, sol.B, sol.D, sol.beta, sol.delta, BASE.strike, sol.x1)
+    assert abs(residual) < 1e-10 * sol.x0
 
 
 def test_matching_and_pasting_conditions(sol):

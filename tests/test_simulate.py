@@ -20,11 +20,12 @@ from esocp import (
 from esocp import _workers, simulate
 from esocp.simulate import (
     BLOCK,
+    SLAB_ROWS,
     AgentOutcomes,
     SimPath,
     _switch_step_from_uniform,
     aggregate_stats,
-    block_uniforms,
+    block_rows,
     path_uniforms,
     replay_batch,
     replay_draws,
@@ -32,6 +33,7 @@ from esocp.simulate import (
 )
 
 import reference
+from reference import block_uniforms
 from conftest import BASE, assert_no_child_left, one_cpu
 
 N = 250
@@ -260,8 +262,7 @@ def test_pooled_replay_equals_in_process_replay(priced, monkeypatch, n_paths):
 
 
 def test_short_last_chunk_of_a_share_is_invisible(priced, monkeypatch):
-    # one CPU: one share of three blocks, replayed as chunks of two and one,
-    # the second a column slice of the share's uniform buffer
+    # one CPU: one share of three blocks, replayed as chunks of two and one
     full, partial = priced
     one_cpu(monkeypatch)
     runs = [replay_batch(full, partial, 3 * BLOCK - 5, 77, (0.5,), chunk_size=c) for c in (2 * BLOCK, BLOCK)]
@@ -422,7 +423,7 @@ def test_beliefs_outside_unit_interval_are_rejected_before_drawing(machinery, pr
     def no_draws(*args, **kwargs):
         raise AssertionError("drew or forked before checking the belief starts")
 
-    for name in ("block_uniforms", "path_uniforms", "fork_each"):
+    for name in ("block_rows", "path_uniforms", "fork_each"):
         monkeypatch.setattr(simulate, name, no_draws)
     with pytest.raises(ValueError, match="belief starts must lie in"):
         replay_batch(full, partial, 2000, 1, (0.5, y0))
@@ -432,6 +433,28 @@ def test_beliefs_outside_unit_interval_are_rejected_before_drawing(machinery, pr
     path = simulate_joint_path(BASE, lat, q, p, (1, 0), (0.0,))
     with pytest.raises(ValueError, match="belief starts must lie in"):
         replay_policies(path, full, {0.0: partial, y0: partial})
+
+
+def test_distinct_beliefs_with_one_label_are_rejected_before_drawing(priced, monkeypatch):
+    # both read outsider(y0=0.123457): one set of outcome arrays would hold both
+    full, partial = priced
+    draws = block_uniforms(1, 0, N)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew or forked before checking the labels")
+
+    for name in ("block_rows", "fork_each"):
+        monkeypatch.setattr(simulate, name, no_draws)
+    message = r"belief starts 0\.1234567 and 0\.1234568 share the outcome label outsider\(y0=0\.123457\)"
+    with pytest.raises(ValueError, match=message):
+        replay_batch(full, partial, 3000, 1, (0.5, 0.1234567, 0.1234568))
+    with pytest.raises(ValueError, match=message):
+        replay_draws(full, partial, draws, (0.1234567, 0.5, 0.1234568))
+    monkeypatch.undo()
+    # an exact repeat names one agent, whose outcomes both replays agree on
+    repeated = replay_batch(full, partial, 3000, 1, (0.1234567, 0.1234567))
+    assert list(repeated) == ["insider", "outsider(y0=0.123457)"]
+    assert_same_outcomes(repeated, replay_batch(full, partial, 3000, 1, (0.1234567,)))
 
 
 def test_single_paths_match_batch_across_block_boundaries(machinery, priced):
@@ -448,9 +471,50 @@ def test_single_paths_match_batch_across_block_boundaries(machinery, priced):
 
 
 def test_path_uniforms_are_columns_of_block_uniforms():
-    for index in (0, BLOCK - 1, BLOCK, 3 * BLOCK - 1):
-        want = block_uniforms(8, index // BLOCK, 7)[:, index % BLOCK]
-        assert np.array_equal(path_uniforms(8, index, 7), want)
+    for n in (7, 2 * SLAB_ROWS + 1):
+        for index in (0, BLOCK - 1, BLOCK, 3 * BLOCK - 1):
+            want = block_uniforms(8, index // BLOCK, n)[:, index % BLOCK]
+            assert np.array_equal(path_uniforms(8, index, n), want)
+
+
+@pytest.mark.parametrize("n_rows", [SLAB_ROWS - 1, SLAB_ROWS, SLAB_ROWS + 1, 2 * SLAB_ROWS + 3])
+@pytest.mark.parametrize("blocks", [range(5, 6), range(2, 5)], ids=["1 block", "3 blocks"])
+def test_streamed_rows_are_the_block_uniforms(n_rows, blocks):
+    # each row is copied as it comes: the next slab overwrites the views
+    rows = [row.copy() for row in block_rows(8, blocks, n_rows - 2)]
+    assert np.array_equal(rows, np.hstack([block_uniforms(8, b, n_rows - 2) for b in blocks]))
+
+
+def test_replay_of_the_stream_equals_replay_of_the_matrix(priced):
+    # N = 250: the stream refills its slab many times within one replay
+    full, partial = priced
+    blocks = range(2, 5)
+    streamed = replay_draws(full, partial, block_rows(31, blocks, N), (0.0, 0.5))
+    whole = replay_draws(full, partial, np.hstack([block_uniforms(31, b, N) for b in blocks]), (0.0, 0.5))
+    assert_same_outcomes(streamed, whole)
+
+
+def test_default_chunk_replays_each_share_in_one_call(priced, monkeypatch):
+    # the benchmark's 100k paths on two CPUs (the default chunk does not depend
+    # on N): each share is one chunk, so it pays replay_draws' fixed cost per
+    # step once
+    full, partial = priced
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    shares, calls = [], []
+
+    def in_process(fn, items):
+        for item in items:
+            shares.append(item)
+            fn(item)
+
+    def replay_draws(*args):
+        calls.append(shares[-1])
+        return _real_replay_draws(*args)
+
+    monkeypatch.setattr(simulate, "fork_each", in_process)
+    monkeypatch.setattr(simulate, "replay_draws", replay_draws)
+    replay_batch(full, partial, 100_000, 1, (0.5,))
+    assert len(shares) == 2 and calls == shares
 
 
 def test_block_stream_is_pinned():
