@@ -117,6 +117,14 @@ def price_partial(
             cont += dw
             np.multiply(cont, disc, out=out[b0 - r0 : b.stop - r0])
 
+    # Allocate and free one 1 MiB chunk.  glibc's dynamic rule then raises its
+    # mmap threshold to 1 MiB (trim threshold 2 MiB), above the continuation's
+    # block temporaries: they are reused from the heap instead of being
+    # mapped and unmapped, page faults and all, on every step (the split
+    # helper inherits the thresholds).  The sweep's windows live in an
+    # anonymous mapping, so without this nothing large is ever freed.  Other
+    # allocators ignore it.
+    np.empty(131_072)
     run = backward_sweep(
         lattice,
         params.strike,

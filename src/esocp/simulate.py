@@ -313,6 +313,34 @@ def agent_labels(belief_starts: Sequence[float]) -> list[str]:
     return ["insider"] + labels
 
 
+def _move_prob_select(p_up: float, p_dw: float):
+    """A select(up, out, scratch) writing p_up where up is 1.0 and p_dw where it is 0.0.
+
+    Either way each entry is exactly p_up or p_dw.  The two-pass form
+    up * (p_up - p_dw) + p_dw is exact wherever p_dw + (p_up - p_dw) == p_up,
+    which Sterbenz's lemma guarantees for any p_up in [1/3, 2/3] (p_dw is
+    1 - p_up), and which fails for some p_up below about 0.25 (0.2245 at
+    mu1 = -20%, N = 20).  There the select adds the two products
+    up * p_up and (1 - up) * p_dw, one of them exactly 0.
+    """
+    step = p_up - p_dw
+    if p_dw + step == p_up:
+
+        def select(up: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+            np.multiply(up, step, out=out)
+            out += p_dw
+
+    else:
+
+        def select(up: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+            np.subtract(1.0, up, out=scratch)
+            scratch *= p_dw
+            np.multiply(up, p_up, out=out)
+            out += scratch
+
+    return select
+
+
 def replay_draws(
     full_result: FullInfoResult,
     partial_result: PartialInfoResult,
@@ -324,12 +352,17 @@ def replay_draws(
     draws yields (M,) rows in order, as an (N + 2, M) matrix or ``block_rows``
     do; each row is read before the next is asked for, except that rows 0 and
     1 are read together.  Column i is one path, its rows used as in the module
-    docstring.  Each
-    step runs over all paths at once: stock prices are read from
-    ``Lattice.level_prices`` and only the realised branch of the filter is
-    evaluated (the operations of ``update_belief``, in its order).  A
-    threshold is only evaluated, and a belief bracketed, on live paths whose
-    stock reaches the lowest threshold the step can have.
+    docstring.  Each step runs over all paths at once, on each path's count j
+    of up moves so far: node prices ascend in j, so a path's stock reaches a
+    threshold exactly when j reaches the first index of
+    ``Lattice.level_prices(k)`` at or above it.  One compare of j picks the
+    paths that reach the lowest threshold the step can have; only there, and
+    only for agents that have not exercised, is the stock read and a
+    threshold evaluated (a belief bracketed).  Only the realised branch of the
+    filter is evaluated (the operations of ``update_belief``, in its order),
+    with the move probabilities picked exactly by ``_move_prob_select`` from
+    the move indicator, which, like j, is kept as float64 (whole numbers,
+    exact below 2**53).  An exact repeat of a belief start is replayed once.
     """
     params, lattice, q, p = full_result.params, full_result.lattice, full_result.q, full_result.p
     n = lattice.n_steps
@@ -339,47 +372,55 @@ def replay_draws(
     # rounding; the relative margin keeps every possible crossing a candidate.
     surface_floor = np.min(surface, axis=1) * (1.0 - 1e-12)
 
-    agents = agent_labels(belief_starts)
+    labels = agent_labels(belief_starts)
+    starts = dict(zip(labels[1:], belief_starts))  # an exact repeat shares its label
+    agents = ["insider", *starts]
     rows = iter(draws)
     u_regime = next(rows)
     m = u_regime.size
     switch = _switch_steps(params, q, u_regime, next(rows))
     steps = {a: np.full(m, -1, dtype=np.int64) for a in agents}
     prices = {a: np.full(m, nan) for a in agents}
-    beliefs = [np.full(m, float(y0)) for y0 in belief_starts]
-    j = np.zeros(m, dtype=np.int64)
+    beliefs = [np.full(m, float(y0)) for y0 in starts.values()]
+    j = np.zeros(m)
     # paths sorted by switch step: the ones entering regime 1 at step t are
     # order[entered[t - 1]:entered[t]]
     order = np.argsort(switch, kind="stable")
     entered = np.searchsorted(switch[order], np.arange(n + 1), side="right")
     p_up = np.where(switch <= 0, p.p_up1, p.p_up0)  # move probability of the next step
-    up, down = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
-    p0, p1, stay, favour, denom = (np.empty(m) for _ in range(5))
+    select0, select1 = _move_prob_select(p.p_up0, p.p_dw0), _move_prob_select(p.p_up1, p.p_dw1)
+    up, p0, p1, stay, favour, denom = (np.empty(m) for _ in range(6))
 
-    def exercise(agent: str, k: int, floor: float, threshold) -> None:
-        candidates = np.flatnonzero((steps[agent] < 0) & (stock >= floor))
+    def exercise(agent: str, k: int, first: int, threshold) -> None:
+        # the paths of this step's reach whose stock is at or above level[first]
+        if first > k:
+            return
+        candidates = reach[(reach_j >= first) & (steps[agent][reach] < 0)]
         if candidates.size:
-            hit = candidates[stock[candidates] >= threshold(candidates)]
-            steps[agent][hit] = k
-            prices[agent][hit] = stock[hit]
+            stock = level[j[candidates].astype(np.intp)]
+            hit = stock >= threshold(candidates)
+            steps[agent][candidates[hit]] = k
+            prices[agent][candidates[hit]] = stock[hit]
 
     for k in range(n + 1):
-        stock = lattice.level_prices(k)[j]
-        exercise("insider", k, min(b0[k], b1[k]), lambda c: np.where(switch[c] <= k, b1[k], b0[k]))
+        # first node index at or above the lowest threshold each agent can have
+        level = lattice.level_prices(k)
+        first_insider = int(np.searchsorted(level, min(b0[k], b1[k])))
+        first_outsider = int(np.searchsorted(level, surface_floor[k]))
+        if min(first_insider, first_outsider) <= k:
+            reach = np.flatnonzero(j >= min(first_insider, first_outsider))
+            reach_j = j[reach]
+        exercise("insider", k, first_insider, lambda c: np.where(switch[c] <= k, b1[k], b0[k]))
         for agent, y in zip(agents[1:], beliefs):
-            exercise(
-                agent, k, surface_floor[k], lambda c: surface_threshold(surface[k], partial_result, y[c])
-            )
+            exercise(agent, k, first_outsider, lambda c: surface_threshold(surface[k], partial_result, y[c]))
         if k == n:
             break
 
         p_up[order[entered[k] : entered[k + 1]]] = p.p_up1
         np.less(next(rows), p_up, out=up)
         j += up
-        # branch-free select: one product is exactly 0, the other the probability
-        np.logical_not(up, out=down)
-        np.add(np.multiply(up, p.p_up0, out=p0), np.multiply(down, p.p_dw0, out=stay), out=p0)
-        np.add(np.multiply(up, p.p_up1, out=p1), np.multiply(down, p.p_dw1, out=stay), out=p1)
+        select0(up, p0, stay)
+        select1(up, p1, stay)
         for y in beliefs:
             # update_belief's operations, in its order, on the realised move
             np.subtract(1.0, y, out=stay)

@@ -58,6 +58,9 @@ CASES = {
     "simulate-export-none": ["simulate", "--N", "40", "--L", "7", "--paths", "3", "--export-paths", "0"],
     "simulate-deep-in-the-money": ["simulate", "--N", "60", "--L", "11", "--spot", "200", "--y0", "0.9",
                                    "--paths", "50"],
+    # regime 1's up probability 0.2245 fails the replay's two-pass select check, so the
+    # four-pass select runs (argparse reads "--mu1 -20%" as two flags)
+    "simulate-low-up-probability": ["simulate", "--N", "20", "--L", "11", "--paths", "3000", "--mu1=-20%"],
     "table1": ["table1", "--N", "40", "--L", "11"],
     "table1@one-cpu": ["table1", "--N", "40", "--L", "11"],
     "table1-literal": ["table1", "--N", "40", "--L", "11", "--literal-pl-exponent"],

@@ -1,11 +1,15 @@
+import subprocess
+import sys
 from dataclasses import replace
 from math import exp, log
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import esocp
 from esocp import (
     AdmissibilityError,
     ModelParams,
@@ -18,7 +22,9 @@ from esocp import (
     transition_matrix,
 )
 
-from conftest import BASE, PRODUCTION_N
+from esocp._workers import usable_cpus
+
+from conftest import BASE, PRODUCTION_L, PRODUCTION_N
 from reference import crr_american_call, no_switch_outsider_value, tree_policy_value
 
 
@@ -300,3 +306,36 @@ def test_grid_policy_at_base_n7_is_exact(n_belief, y0):
     policy = tree_policy_value(price_partial(params, 7, n_belief, keep_surface=True))
     exact = price_partial_exact(params, 7)
     assert abs(policy - exact) <= ORACLE_SLACK * max(1.0, exact)
+
+
+# A fresh process prices the production cell twice without the surface, then
+# once with it (whose thresholds make (L, w) temporaries every step), and
+# prints each operation's minor faults in itself and in its reaped split helper.
+FAULTS_SCRIPT = """
+import resource
+from esocp import ModelParams, price_partial
+def faults():
+    return [resource.getrusage(who).ru_minflt for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
+for keep_surface in (False, False, True):
+    before = faults()
+    price_partial({params!r}, {n}, {n_belief}, keep_surface=keep_surface)
+    print(*(after - was for after, was in zip(faults(), before)))
+"""
+
+
+@pytest.mark.skipif(usable_cpus() < 2, reason="the production sweep splits only with two or more CPUs")
+def test_split_production_sweeps_do_not_fault_their_temporaries():
+    # Until something large is freed, glibc maps and unmaps each of the
+    # continuation's 256 KiB block temporaries: without a surface, whose free
+    # does that, every split operation faulted about 410 k pages in the
+    # caller and as many in the helper.
+    script = FAULTS_SCRIPT.format(params=BASE, n=PRODUCTION_N, n_belief=PRODUCTION_L)
+    src = str(Path(esocp.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script], env={"PYTHONPATH": src}, capture_output=True, text=True, check=True,
+        timeout=300,
+    )
+    operations = ("first, without surface", "second, without surface", "third, with surface")
+    for operation, line in zip(operations, done.stdout.splitlines(), strict=True):
+        caller, helper = map(int, line.split())
+        assert caller < 50_000 and 0 < helper < 50_000, (operation, caller, helper)

@@ -532,6 +532,9 @@ def _engine_cases():
     yield "strike 1e9", replace(BASE, strike=1e9), 60
     yield "N=1", BASE, 1
     yield "N=7", replace(BASE, y0=0.5), 7
+    # regime 1's up probability 0.2245 takes _move_prob_select's four-pass branch
+    yield "mu1=-20% N=20", replace(BASE, mu1=-0.2), 20
+    yield "mu1=-20% N=20 y0=0.5", replace(BASE, mu1=-0.2, y0=0.5), 20
 
 
 @pytest.mark.parametrize("name,params,n", list(_engine_cases()), ids=[c[0] for c in _engine_cases()])
@@ -557,6 +560,41 @@ def test_replay_engine_matches_path_at_a_time_oracle(name, params, n):
         assert exercised == 0
     elif n > 1:
         assert exercised > 0
+
+
+def test_move_prob_select_is_exact():
+    # over a grid of (0, 1) both branches run: the two-pass form
+    # up * (p_up - p_dw) + p_dw alone rounds off some p_up below 0.25, such
+    # as 0.22453808014072035 (mu1 = -20% at N = 20)
+    up = np.array([1.0, 0.0, 0.0, 1.0])
+    out, scratch = np.empty(4), np.empty(4)
+    two_pass_inexact = 0
+    for p_up in [*np.linspace(0.0, 1.0, 1002)[1:-1], 0.1, 0.2245, 0.22453808014072035]:
+        p_dw = 1.0 - p_up
+        two_pass_inexact += p_dw + (p_up - p_dw) != p_up
+        simulate._move_prob_select(p_up, p_dw)(up, out, scratch)
+        assert out.tolist() == [p_up, p_dw, p_dw, p_up], p_up
+    assert two_pass_inexact > 0
+
+
+_real_surface_threshold = simulate.surface_threshold
+
+
+def test_repeated_belief_start_is_replayed_once(priced, monkeypatch):
+    full, partial = priced
+    draws = block_uniforms(5, 0, N)
+    calls = {}
+
+    def counting_surface_threshold(*args):
+        calls[starts] = calls.get(starts, 0) + 1
+        return _real_surface_threshold(*args)
+
+    monkeypatch.setattr(simulate, "surface_threshold", counting_surface_threshold)
+    out = {}
+    for starts in ((0.5,), (0.5, 0.5)):
+        out[starts] = replay_draws(full, partial, draws, starts)
+    assert calls[(0.5,)] > 0 and calls[(0.5, 0.5)] == calls[(0.5,)]
+    assert_same_outcomes(out[(0.5, 0.5)], out[(0.5,)])
 
 
 def enumerated_columns(full):
