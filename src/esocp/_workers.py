@@ -1,7 +1,7 @@
 """Forked worker processes: when they may be used, and ``Child``, the one place
 where esocp forks a process, which returns its value or reports its exception,
-dies and is reaped.  ``fork_each`` runs one Child per item (the replay's shares);
-``ordered_map``'s workers (the CLI's tables) and the split sweep's helper are Children."""
+dies and is reaped.  ``ordered_map``'s workers (the replay's chunks, the CLI's
+tables) and the split sweep's helper are Children."""
 
 from __future__ import annotations
 
@@ -33,9 +33,10 @@ def ordered_map(fn, items):
     from a pipe filled before the first fork (so no lock exists), runs fn on them
     (a closure will do), stops at its first exception and returns each index it
     ran with fn's result or exception.  The first failing item's exception is
-    raised when its item comes up; an item that no child returned, or a dead
-    child, raises ``ChildProcessError``.  In-process with one item or where
-    ``can_fork()`` says no.
+    raised when its item comes up, once every child has finished; an item that
+    no child returned, or a dead child, raises ``ChildProcessError``.  If this
+    process fails or is interrupted while it waits, every child is killed and
+    reaped.  In-process with one item or where ``can_fork()`` says no.
     """
     items = list(items)
     workers = min(len(items), usable_cpus())
@@ -46,7 +47,7 @@ def ordered_map(fn, items):
     # that an empty pipe takes whole); past 128 items a record names a run of them.
     run = -(-len(items) // 128)
 
-    def work(_) -> dict:
+    def work() -> dict:
         ran = {}
         while record := os.read(claims, 4):  # end of file once every record is claimed
             first = int.from_bytes(record, "little") * run
@@ -59,11 +60,17 @@ def ordered_map(fn, items):
         return ran
 
     claims, feed = os.pipe()
+    children, done = [], {}
     try:
         with open(feed, "wb", buffering=0) as pipe:  # closed before the fork: no child holds it
             pipe.write(b"".join(r.to_bytes(4, "little") for r in range(-(-len(items) // run))))
-        done = {i: r for part in fork_each(work, range(workers)) for i, r in (part or {}).items()}
+        for _ in range(workers):
+            children.append(Child(work))
+        for child in children:
+            done.update(child.join() or {})
     finally:
+        for child in children:
+            child.kill()
         os.close(claims)
     for i in range(len(items)):
         if i not in done:
@@ -72,28 +79,6 @@ def ordered_map(fn, items):
         if not ok:
             raise result
         yield result
-
-
-def fork_each(fn, items) -> list:
-    """Return [fn(item) for item in items], each run in a ``Child`` forked for it.
-
-    fn reaches a child through the fork (a closure will do); its value comes back
-    pickled, and larger results may go to memory shared before the fork.  This
-    runs fn in-process with one item or where ``can_fork()`` says no.  Joined in
-    order, the first failing item's error is raised here (see ``Child.join``); if
-    this process fails or is interrupted while it waits, every child is killed and reaped.
-    """
-    items = list(items)
-    if len(items) < 2 or not can_fork():
-        return [fn(item) for item in items]
-    children = []
-    try:
-        for item in items:
-            children.append(Child(fn, item))
-        return [child.join() for child in children]
-    finally:
-        for child in children:
-            child.kill()
 
 
 def _portable(exc: BaseException) -> BaseException:

@@ -7,9 +7,9 @@ stream, ``default_rng((master_seed, b)).random((N + 2, BLOCK))``, laid out
 step-major: row 0 decides the initial regime, row 1 the switch step, row
 k + 2 the move over step k, and column c belongs to path b*BLOCK + c.  The
 stream is read SLAB_ROWS rows at a time (``block_rows``), which draws the same
-numbers.  Path i is therefore the same whatever the number of paths or the
-chunk size, and ``simulate_joint_path`` with seed (master_seed, i) reproduces
-batch path i.
+numbers.  Path i is therefore the same whatever the number of paths, the
+chunk size or the worker processes that replay the chunks (``replay_batch``),
+and ``simulate_joint_path`` with seed (master_seed, i) reproduces batch path i.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._workers import fork_each, usable_cpus
+from ._workers import ordered_map, usable_cpus
 from .filtering import update_belief
 from .full_info import FullInfoResult
 from .lattice import Lattice, QMatrix, RegimeReturnProbs
@@ -247,19 +247,20 @@ def replay_batch(
 ) -> dict[str, AgentOutcomes]:
     """Simulate n_paths with common random numbers and replay every policy.
 
-    Paths are drawn block by block (see the module docstring).  The blocks
-    are split into one near-equal contiguous share per usable CPU, and each
-    share is replayed in a child forked for it (``_workers.fork_each``), a
-    chunk of whole blocks at a time, each chunk's uniforms streamed from
-    ``block_rows``.  chunk_size (paths, rounded up to whole blocks) bounds one
-    chunk's slab and per-path arrays; it does not change the results.  By
-    default a chunk takes about 32 MB, which holds a share of 100k paths.
-    Every agent's outcomes live in one anonymous shared mapping made before
-    the fork: each child draws its own blocks and writes its paths' outcomes
-    in place, so nothing is pickled either way, and the returned arrays are
-    views of that mapping.  All outsider variants share one exercise surface
-    (the value surface does not depend on the initial belief) but carry
-    their own filtered belief paths.
+    Paths are drawn block by block (see the module docstring) and replayed a
+    chunk of whole blocks at a time, each chunk one ``replay_draws`` call on
+    uniforms streamed from ``block_rows``.  A chunk holds chunk_size paths
+    (rounded up to whole blocks), at most ceil(blocks / usable CPUs) blocks,
+    and the chunks are ``_workers.ordered_map`` items, so the forked workers
+    claim them one at a time.  chunk_size bounds one chunk's slab and per-path
+    arrays; it does not change the results.  By default a chunk takes about
+    32 MB, which holds one CPU's part of 100k paths.  Every agent's outcomes
+    live in one anonymous shared mapping made before the fork: each worker
+    draws its chunks' blocks and writes their paths' outcomes in place, so
+    nothing is pickled either way, and the returned arrays are views of that
+    mapping.  All outsider variants share one exercise surface (the value
+    surface does not depend on the initial belief) but carry their own
+    filtered belief paths.
     """
     _check_policies(full_result, partial_result, "partial pricing")
     check_beliefs(belief_starts, "belief starts")
@@ -270,26 +271,23 @@ def replay_batch(
     n_blocks = -(-n_paths // BLOCK)
     if chunk_size is None:
         chunk_size = _CHUNK_BYTES // (8 * (SLAB_ROWS + 12 + 4 * len(agents)))
-    chunk_blocks = max(1, -(-chunk_size // BLOCK))
+    chunk_blocks = max(1, min(-(-chunk_size // BLOCK), -(-n_blocks // usable_cpus())))
     size = len(agents) * n_blocks * BLOCK
     shared = mmap.mmap(-1, 3 * 8 * size)
     steps = np.frombuffer(shared, np.int64, size).reshape(len(agents), -1)
     prices, payoffs = np.frombuffer(shared, float, 2 * size, 8 * size).reshape(2, len(agents), -1)
-    steps.fill(-2)  # never an outcome: marks a path no share wrote
+    steps.fill(-2)  # never an outcome: marks a path no chunk wrote
 
-    def replay_share(share: range) -> None:
-        for first in range(share.start, share.stop, chunk_blocks):
-            blocks = range(first, min(first + chunk_blocks, share.stop))
-            out = replay_draws(full_result, partial_result, block_rows(master_seed, blocks, n), belief_starts)
-            paths = slice(blocks.start * BLOCK, blocks.stop * BLOCK)
-            for a, agent in enumerate(agents):
-                steps[a, paths] = out[agent].exercise_step
-                prices[a, paths] = out[agent].exercise_price
-                payoffs[a, paths] = out[agent].payoff
+    def replay_chunk(blocks: range) -> None:
+        out = replay_draws(full_result, partial_result, block_rows(master_seed, blocks, n), belief_starts)
+        paths = slice(blocks.start * BLOCK, blocks.stop * BLOCK)
+        for a, agent in enumerate(agents):
+            steps[a, paths] = out[agent].exercise_step
+            prices[a, paths] = out[agent].exercise_price
+            payoffs[a, paths] = out[agent].payoff
 
-    n_shares = min(n_blocks, usable_cpus())
-    bounds = [s * n_blocks // n_shares for s in range(n_shares + 1)]
-    fork_each(replay_share, [range(a, b) for a, b in zip(bounds, bounds[1:])])
+    chunks = [range(b, min(b + chunk_blocks, n_blocks)) for b in range(0, n_blocks, chunk_blocks)]
+    list(ordered_map(replay_chunk, chunks))
     if np.any(steps == -2):
         raise ChildProcessError("a replay worker left paths without outcomes")
     return {

@@ -262,7 +262,7 @@ def test_pooled_replay_equals_in_process_replay(priced, monkeypatch, n_paths):
 
 
 def test_short_last_chunk_of_a_share_is_invisible(priced, monkeypatch):
-    # one CPU: one share of three blocks, replayed as chunks of two and one
+    # one CPU: three blocks, replayed as chunks of two and one, or of one each
     full, partial = priced
     one_cpu(monkeypatch)
     runs = [replay_batch(full, partial, 3 * BLOCK - 5, 77, (0.5,), chunk_size=c) for c in (2 * BLOCK, BLOCK)]
@@ -271,24 +271,23 @@ def test_short_last_chunk_of_a_share_is_invisible(priced, monkeypatch):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4, 8])
 def test_every_usable_cpu_gets_a_chunk(priced, monkeypatch, cpus):
-    # one near-equal contiguous share of the blocks per usable CPU
+    # by default, contiguous chunks of ceil(blocks / cpus) blocks, at most one per CPU
     full, partial = priced
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    shares = []
+    maps = []
 
     def in_process(fn, items):
-        shares.append(list(items))
-        for item in shares[-1]:
-            fn(item)
+        maps.append(list(items))
+        return map(fn, maps[-1])
 
-    monkeypatch.setattr(simulate, "fork_each", in_process)
+    monkeypatch.setattr(simulate, "ordered_map", in_process)
     for n_blocks in (1, 2, 3, 5, 9):
-        shares.clear()
+        maps.clear()
         replay_batch(full, partial, n_blocks * BLOCK - 1, 3, (0.5,))
-        (run,) = shares
-        assert len(run) == min(n_blocks, cpus)
-        assert [b for share in run for b in share] == list(range(n_blocks))
-        assert max(map(len, run)) - min(map(len, run)) <= 1
+        (chunks,) = maps
+        assert len(chunks) <= cpus
+        assert [b for chunk in chunks for b in chunk] == list(range(n_blocks))
+        assert max(map(len, chunks)) == -(-n_blocks // cpus)
 
 
 _chunk_pids = []
@@ -331,14 +330,14 @@ def in_workers(monkeypatch, action):
 
 
 def fail():
-    raise KeyError("replay of this share failed")
+    raise KeyError("replay of this chunk failed")
 
 
 def fail_unpicklably():
     class LocalError(Exception):  # pickle cannot find a local class
         pass
 
-    raise LocalError("replay of this share failed")
+    raise LocalError("replay of this chunk failed")
 
 
 class TwoPartError(Exception):
@@ -347,7 +346,16 @@ class TwoPartError(Exception):
 
 
 def fail_unloadably():
-    raise TwoPartError("replay of this share", "failed")
+    raise TwoPartError("replay of this chunk", "failed")
+
+
+_worker_chunks = []  # each forked worker starts with the caller's, which stays empty
+
+
+def fail_after_the_first_chunk():
+    _worker_chunks.append(None)
+    if len(_worker_chunks) > 1:
+        raise KeyError("replay of a later chunk failed")
 
 
 forked = pytest.mark.skipif(_workers.usable_cpus() < 2, reason="one usable CPU")
@@ -355,21 +363,27 @@ forked = pytest.mark.skipif(_workers.usable_cpus() < 2, reason="one usable CPU")
 
 @forked
 @pytest.mark.parametrize(
-    "action, raised, message",
+    "action, raised, message, n_blocks, chunk_size",
     [
-        (fail, KeyError, "replay of this share"),
-        (fail_unpicklably, RuntimeError, "LocalError: replay of this share"),
-        (fail_unloadably, RuntimeError, "TwoPartError: replay of this share failed"),
+        (fail, KeyError, "replay of this chunk", 2, None),
+        (fail_unpicklably, RuntimeError, "LocalError: replay of this chunk", 2, None),
+        (fail_unloadably, RuntimeError, "TwoPartError: replay of this chunk failed", 2, None),
+        # five one-block chunks on two workers: each worker's first chunk
+        # succeeds, and whichever claims a second one fails there
+        (fail_after_the_first_chunk, KeyError, "replay of a later chunk", 5, BLOCK),
     ],
-    ids=["picklable", "unpicklable", "unloadable"],
+    ids=["picklable", "unpicklable", "unloadable", "later chunk"],
 )
-def test_worker_error_is_raised_with_its_type_and_message(priced, monkeypatch, action, raised, message):
+def test_worker_error_is_raised_with_its_type_and_message(
+    priced, monkeypatch, action, raised, message, n_blocks, chunk_size
+):
     full, partial = priced
-    replay_batch(full, partial, 2 * BLOCK, 1, (0.5,))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    replay_batch(full, partial, n_blocks * BLOCK, 1, (0.5,), chunk_size)
     assert_no_child_left()
     in_workers(monkeypatch, action)
     with pytest.raises(raised, match=message):
-        replay_batch(full, partial, 2 * BLOCK, 1, (0.5,))
+        replay_batch(full, partial, n_blocks * BLOCK, 1, (0.5,), chunk_size)
     assert_no_child_left()
 
 
@@ -379,7 +393,7 @@ def test_worker_error_is_raised_with_its_type_and_message(priced, monkeypatch, a
     [
         (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
         (lambda: os._exit(3), "exited with status 3"),
-        (lambda: os._exit(0), "left paths without outcomes"),
+        (lambda: os._exit(0), "no worker process returned item 0 of 2"),
     ],
     ids=["killed", "exit 3", "exit 0"],
 )
@@ -389,6 +403,14 @@ def test_lost_worker_raises_instead_of_returning_zeros(priced, monkeypatch, acti
     with pytest.raises(ChildProcessError, match=message):
         replay_batch(full, partial, 2 * BLOCK, 1, (0.5,))
     assert_no_child_left()
+
+
+def test_chunk_without_outcomes_raises_instead_of_returning_zeros(priced, monkeypatch):
+    # the -2 sentinel catches a chunk that was never replayed, however it was lost
+    full, partial = priced
+    monkeypatch.setattr(simulate, "ordered_map", lambda fn, items: map(fn, list(items)[1:]))
+    with pytest.raises(ChildProcessError, match="left paths without outcomes"):
+        replay_batch(full, partial, 3 * BLOCK, 1, (0.5,), BLOCK)
 
 
 @forked
@@ -423,7 +445,7 @@ def test_beliefs_outside_unit_interval_are_rejected_before_drawing(machinery, pr
     def no_draws(*args, **kwargs):
         raise AssertionError("drew or forked before checking the belief starts")
 
-    for name in ("block_rows", "path_uniforms", "fork_each"):
+    for name in ("block_rows", "path_uniforms", "ordered_map"):
         monkeypatch.setattr(simulate, name, no_draws)
     with pytest.raises(ValueError, match="belief starts must lie in"):
         replay_batch(full, partial, 2000, 1, (0.5, y0))
@@ -443,7 +465,7 @@ def test_distinct_beliefs_with_one_label_are_rejected_before_drawing(priced, mon
     def no_draws(*args, **kwargs):
         raise AssertionError("drew or forked before checking the labels")
 
-    for name in ("block_rows", "fork_each"):
+    for name in ("block_rows", "ordered_map"):
         monkeypatch.setattr(simulate, name, no_draws)
     message = r"belief starts 0\.1234567 and 0\.1234568 share the outcome label outsider\(y0=0\.123457\)"
     with pytest.raises(ValueError, match=message):
@@ -496,25 +518,25 @@ def test_replay_of_the_stream_equals_replay_of_the_matrix(priced):
 
 def test_default_chunk_replays_each_share_in_one_call(priced, monkeypatch):
     # the benchmark's 100k paths on two CPUs (the default chunk does not depend
-    # on N): each share is one chunk, so it pays replay_draws' fixed cost per
-    # step once
+    # on N): two chunks of 49 blocks, so each worker pays replay_draws' fixed
+    # cost per step once
     full, partial = priced
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    shares, calls = [], []
+    chunks, calls = [], []
 
     def in_process(fn, items):
         for item in items:
-            shares.append(item)
-            fn(item)
+            chunks.append(item)
+            yield fn(item)
 
     def replay_draws(*args):
-        calls.append(shares[-1])
+        calls.append(chunks[-1])
         return _real_replay_draws(*args)
 
-    monkeypatch.setattr(simulate, "fork_each", in_process)
+    monkeypatch.setattr(simulate, "ordered_map", in_process)
     monkeypatch.setattr(simulate, "replay_draws", replay_draws)
     replay_batch(full, partial, 100_000, 1, (0.5,))
-    assert len(shares) == 2 and calls == shares
+    assert chunks == [range(0, 49), range(49, 98)] and calls == chunks
 
 
 def test_block_stream_is_pinned():
