@@ -38,15 +38,13 @@ class DerivedConstants:
     eta: float  # drift gap in volatility units, (mu0 - mu1)/sigma
     nu0: float  # mu0/sigma - sigma/2
     nu1: float  # mu1/sigma - sigma/2
-    kappa: float  # lam + eta*nu0 - eta^2/2
 
 
 def derived(params: ModelParams) -> DerivedConstants:
     eta = (params.mu0 - params.mu1) / params.sigma
     nu0 = params.mu0 / params.sigma - 0.5 * params.sigma
     nu1 = params.mu1 / params.sigma - 0.5 * params.sigma
-    kappa = params.lam + eta * nu0 - 0.5 * eta * eta
-    return DerivedConstants(eta=eta, nu0=nu0, nu1=nu1, kappa=kappa)
+    return DerivedConstants(eta=eta, nu0=nu0, nu1=nu1)
 
 
 def validate(params: ModelParams) -> ModelParams:

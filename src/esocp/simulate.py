@@ -113,6 +113,8 @@ def simulate_joint_path(
 
     ``seed`` is (master seed, path index).  The move over a step is drawn
     with the probability of the regime prevailing at the end of that step.
+    All belief starts are filtered in one pass, one ``update_belief`` call per
+    step; each start's path is a contiguous (N + 1,) row.
     """
     check_beliefs(belief_starts, "belief starts")
     master_seed, index = seed
@@ -120,31 +122,24 @@ def simulate_joint_path(
     draws = path_uniforms(master_seed, index, n)
 
     first = float(_switch_steps(params, q, draws[0], draws[1]))
-    switch = int(first) if first <= n else None
-    regime = np.zeros(n + 1, dtype=np.int8)
-    if switch is not None:
-        regime[switch:] = 1
+    regime = (np.arange(n + 1) >= first).astype(np.int8)
 
     ups = draws[_ROWS_BEFORE_MOVES:] < np.where(regime[1:] == 1, p.p_up1, p.p_up0)
     j = np.concatenate(([0], np.cumsum(ups)))
     stock = np.array([lattice.level_prices(k)[jk] for k, jk in enumerate(j)])
 
-    beliefs: dict[float, np.ndarray] = {}
-    for y0 in belief_starts:
-        path = np.empty(n + 1)
-        path[0] = y = y0
-        for step in range(n):
-            y = update_belief(y, ups[step], q, p)
-            path[step + 1] = y
-        beliefs[y0] = path
+    beliefs = np.empty((len(belief_starts), n + 1))
+    beliefs[:, 0] = y = np.asarray(belief_starts, dtype=float)
+    for step in range(n):
+        beliefs[:, step + 1] = y = update_belief(y, ups[step], q, p)
 
     return SimPath(
         lattice=lattice,
         ups=ups,
         stock=stock,
         regime=regime,
-        switch_step=switch,
-        beliefs=beliefs,
+        switch_step=int(first) if first <= n else None,
+        beliefs=dict(zip(belief_starts, beliefs)),
     )
 
 
@@ -165,17 +160,21 @@ def _check_policies(full: FullInfoResult, partial: PartialInfoResult, what: str)
         raise ValueError("partial result has no retained exercise surface")
 
 
-def surface_threshold(surface_row: np.ndarray, result: PartialInfoResult, y) -> np.ndarray:
-    """Exercise threshold at beliefs y in [0, 1], linear between belief layers.
+def surface_threshold(result: PartialInfoResult, k, y) -> np.ndarray:
+    """Exercise threshold at step k and beliefs y in [0, 1], linear between belief layers.
 
-    An infinite threshold on either side of a genuine bracket makes the whole
-    cell uncrossable (no interpolation across an infinite layer): inf times a
-    weight in (0, 1) stays inf.  A weight of 0 (exact hit), or two equal
-    layers, reads the layer: ``s*(1 - w) + s*w`` can round 1 ulp off s, and a
-    node priced exactly s would then not exercise.
+    k is one step, or one step per belief (an array shaped like y).  The
+    layers are read by flat index k * L + lo from a view of the C-contiguous
+    (N + 1, L) surface.  An infinite threshold on either side of a genuine
+    bracket makes the whole cell uncrossable (no interpolation across an
+    infinite layer): inf times a weight in (0, 1) stays inf.  A weight of 0
+    (exact hit), or two equal layers, reads the layer: ``s*(1 - w) + s*w`` can
+    round 1 ulp off s, and a node priced exactly s would then not exercise.
     """
     lo, hi, w = result.grid.locate(y)
-    s_lo, s_hi = surface_row[lo], surface_row[hi]
+    flat = result.surface.reshape(-1)
+    row = k * result.surface.shape[1]
+    s_lo, s_hi = flat[row + lo], flat[row + hi]
     with np.errstate(invalid="ignore"):
         interp = s_lo * (1.0 - w) + s_hi * w
     return np.where((w == 0.0) | (s_lo == s_hi), s_lo, interp)
@@ -187,11 +186,6 @@ def _discount_factors(full_result: FullInfoResult) -> np.ndarray:
     return np.exp(-full_result.params.r * lattice.h * np.arange(lattice.n_steps + 1))
 
 
-def _first_crossing(stock: np.ndarray, threshold: np.ndarray) -> int | None:
-    hits = np.flatnonzero(stock >= threshold)
-    return int(hits[0]) if hits.size else None
-
-
 def replay_policies(
     path: SimPath,
     full_result: FullInfoResult,
@@ -201,8 +195,9 @@ def replay_policies(
 
     The insider stops the first time the stock crosses the boundary of the
     regime they currently observe; each outsider variant stops at the first
-    crossing of the surface threshold interpolated at her current belief.
-    Each outcome keeps the per-step thresholds its agent was compared with.
+    crossing of the surface threshold interpolated at her current belief,
+    her whole threshold path read in one ``surface_threshold`` call.  Each
+    outcome keeps the per-step thresholds its agent was compared with.
     """
     _check_same_lattice(path.lattice, full_result.lattice, "full-information pricing")
     check_beliefs(partial_results, "belief starts")
@@ -210,20 +205,19 @@ def replay_policies(
     disc = _discount_factors(full_result)
 
     def outcome(agent: str, thresholds: np.ndarray) -> ExerciseOutcome:
-        step = _first_crossing(path.stock, thresholds)
-        if step is None:
+        hits = np.flatnonzero(path.stock >= thresholds)
+        if not hits.size:
             return ExerciseOutcome(agent, None, nan, 0.0, thresholds)
+        step = int(hits[0])
         x = float(path.stock[step])
         return ExerciseOutcome(agent, step, x, float(disc[step] * max(x - strike, 0.0)), thresholds)
 
     insider = np.where(path.regime == 1, full_result.boundary(1), full_result.boundary(0))
     outcomes = [outcome("insider", insider)]
+    steps = np.arange(path.lattice.n_steps + 1)
     for y0, partial in partial_results.items():
         _check_policies(full_result, partial, f"partial pricing (y0={y0:g})")
-        threshold = np.array(
-            [surface_threshold(s, partial, y) for s, y in zip(partial.surface, path.beliefs[y0])]
-        )
-        outcomes.append(outcome(f"outsider(y0={y0:g})", threshold))
+        outcomes.append(outcome(f"outsider(y0={y0:g})", surface_threshold(partial, steps, path.beliefs[y0])))
     return outcomes
 
 
@@ -365,10 +359,9 @@ def replay_draws(
     params, lattice, q, p = full_result.params, full_result.lattice, full_result.q, full_result.p
     n = lattice.n_steps
     b0, b1 = full_result.boundary(0), full_result.boundary(1)
-    surface = partial_result.surface
     # An interpolated threshold is at least the smaller of its two layers up to
     # rounding; the relative margin keeps every possible crossing a candidate.
-    surface_floor = np.min(surface, axis=1) * (1.0 - 1e-12)
+    surface_floor = np.min(partial_result.surface, axis=1) * (1.0 - 1e-12)
 
     labels = agent_labels(belief_starts)
     starts = dict(zip(labels[1:], belief_starts))  # an exact repeat shares its label
@@ -410,7 +403,7 @@ def replay_draws(
             reach_j = j[reach]
         exercise("insider", k, first_insider, lambda c: np.where(switch[c] <= k, b1[k], b0[k]))
         for agent, y in zip(agents[1:], beliefs):
-            exercise(agent, k, first_outsider, lambda c: surface_threshold(surface[k], partial_result, y[c]))
+            exercise(agent, k, first_outsider, lambda c: surface_threshold(partial_result, k, y[c]))
         if k == n:
             break
 

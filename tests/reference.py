@@ -217,7 +217,7 @@ def tree_policy_value(partial) -> float:
 
     Every move sequence carries its exact filtered belief from
     ``partial.params.y0``.  A node exercises when its stock spot*up**(2j - k)
-    is at or above ``surface_threshold(surface[k], partial, y)`` at its belief
+    is at or above ``surface_threshold(partial, k, y)`` at its belief
     y, as the replay does, and the two branches of a node are weighted by the
     exact ``predict_return_prob``.  A stopping rule on the tree that
     ``price_partial_exact`` solves, so never above it.
@@ -236,7 +236,7 @@ def tree_policy_value(partial) -> float:
         pu = np.asarray(predict_return_prob(beliefs[k], q, p, True))
         cont = disc * (pu * value[0::2] + (1.0 - pu) * value[1::2]) if k < n else 0.0
         stock = lattice.spot * lattice.up ** (2.0 * ups[k] - k)
-        stop = stock >= surface_threshold(partial.surface[k], partial, beliefs[k])
+        stop = stock >= surface_threshold(partial, k, beliefs[k])
         value = np.where(stop, np.maximum(stock - params.strike, 0.0), cont)
     return float(value[0])
 

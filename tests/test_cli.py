@@ -125,6 +125,17 @@ def test_boundary_csv_and_smoothing(tmp_path, capsys):
     assert float(last[2]) == BASE.strike and float(last[3]) == BASE.strike
     assert (out_dir / "boundary_smoothed.csv").exists()
     assert (out_dir / "manifest.txt").exists()
+    # without --out the run ends on a summary of the boundaries at t=0
+    code, out, _ = run(capsys, "boundary", "--N", "120")
+    assert code == 0
+    b = price_full(BASE, 120)
+    assert out.splitlines()[-1] == (
+        f"boundary at t=0: regime0 {cli._fmt(float(b.boundary(0)[0]))}, regime1 {cli._fmt(float(b.boundary(1)[0]))}"
+    )
+    # at N=3 no regime has more finite entries than the default degree 5: written unsmoothed
+    few = tmp_path / "few"
+    assert run(capsys, "boundary", "--N", "3", "--smooth", "--out", str(few))[0] == 0
+    assert (few / "boundary_smoothed.csv").read_bytes() == (few / "boundary.csv").read_bytes()
 
 
 @pytest.mark.parametrize("to_dir", [False, True], ids=["plain", "out"])
@@ -151,6 +162,13 @@ def test_surface_csv_layout(tmp_path, capsys):
     assert len(rows) == 1 + 41 * 7
     terminal = [r for r in rows[1:] if r.startswith("40,")]
     assert all(float(r.split(",")[3]) == BASE.strike for r in terminal)
+    # without --out the run ends on a summary of the surface at t=0
+    code, out, _ = run(capsys, "surface", "--N", "40", "--L", "7")
+    assert code == 0
+    s = price_partial(BASE, 40, 7, keep_surface=True).surface
+    assert out.splitlines()[-1] == (
+        f"surface at t=0: y=0 -> {cli._fmt(float(s[0, 0]))}, y=1 -> {cli._fmt(float(s[0, -1]))}"
+    )
 
 
 def test_perpetual_report(tmp_path, capsys):
@@ -545,7 +563,7 @@ def test_path_csv_thresholds_match_per_row_recomputation(tmp_path, capsys):
             assert thresholds[k, 0] == b[int(row[3])][k]
             for c, y0 in enumerate(starts):
                 assert beliefs[k, c] == path.beliefs[y0][k]
-                assert thresholds[k, 1 + c] == surface_threshold(partial.surface[k], partial, beliefs[k, c])
+                assert thresholds[k, 1 + c] == surface_threshold(partial, k, beliefs[k, c])
         # each agent exercises at its first crossing of the written thresholds
         for c in range(m + 1):
             crossed = np.flatnonzero(rows[:, 2] >= thresholds[:, c])

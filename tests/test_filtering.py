@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from esocp import (
     ModelParams,
+    RegimeReturnProbs,
     build_grid,
     build_lattice,
     likelihood_ratio_quadrature,
@@ -89,6 +90,10 @@ def test_update_fixed_points(chain):
     q0 = transition_matrix(0.0, 0.004)
     assert update_belief(0.0, True, q0, p) == 0.0
     assert update_belief(0.0, False, q0, p) == 0.0
+    # a move neither regime can make leaves nothing to condition on
+    never_up = RegimeReturnProbs(0.0, 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="predicted move probability vanished"):
+        update_belief(0.5, True, q, never_up)
 
 
 def test_down_moves_raise_belief(chain):
@@ -209,6 +214,9 @@ def test_quadrature_without_intensity_is_pure_exponential():
 def test_quadrature_rejects_certain_switch():
     with pytest.raises(ValueError, match="y0 = 1"):
         likelihood_ratio_quadrature(replace(BASE, y0=1.0), np.zeros(10), 0.01)
+    for dt in (0.0, -0.01):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            likelihood_ratio_quadrature(BASE, np.zeros(10), dt)
 
 
 def test_quadrature_matches_euler_at_order_dt():
@@ -258,11 +266,12 @@ def test_quadrature_matches_price_history_representation():
     x = BASE.spot * np.exp(BASE.sigma * wstar + (BASE.mu0 - 0.5 * BASE.sigma**2) * t)
 
     power = -d.eta / BASE.sigma
+    kappa = BASE.lam + d.eta * d.nu0 - 0.5 * d.eta**2
     phi0 = 0.2 / 0.8
-    integrand = np.exp(-d.kappa * t) * x**-power  # e^{kappa(t-s)}(X_t/X_s)^power split
+    integrand = np.exp(-kappa * t) * x**-power  # e^{kappa(t-s)}(X_t/X_s)^power split
     cum = np.concatenate(([0.0], np.cumsum(0.5 * dt * (integrand[1:] + integrand[:-1]))))
-    phi_from_prices = phi0 * np.exp(d.kappa * t) * (x / BASE.spot) ** power + BASE.lam * np.exp(
-        d.kappa * t
+    phi_from_prices = phi0 * np.exp(kappa * t) * (x / BASE.spot) ** power + BASE.lam * np.exp(
+        kappa * t
     ) * x**power * cum
 
     params = replace(BASE, y0=0.2)

@@ -26,6 +26,8 @@ def test_no_switch_reduces_to_plain_crr():
     result = price_full(p, 500, keep_boundaries=False)
     oracle = crr_american_call(100.0, 100.0, p.r, p.mu0, p.sigma, p.maturity, 500)
     assert abs(result.v0_root - oracle) <= 1e-12
+    with pytest.raises(ValueError, match="boundaries were not retained"):
+        result.boundary(0)
 
 
 def test_switched_tree_is_single_regime():

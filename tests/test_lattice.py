@@ -88,6 +88,11 @@ def test_zero_steps_rejected():
 def test_transition_matrix_no_switching():
     q = transition_matrix(0.0, 0.004)
     assert (q.q00, q.q01) == (1.0, 0.0)
+    with pytest.raises(ValueError, match="lambda must be non-negative"):
+        transition_matrix(-0.1, 0.004)
+    for h in (0.0, -0.004):
+        with pytest.raises(ValueError, match="step length must be positive"):
+            transition_matrix(0.1, h)
 
 
 def test_transition_matrix_values():

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from esocp import ModelParams, ParameterError, derived, load_params, validate
@@ -39,7 +37,6 @@ def test_derived_constants():
     assert d.eta == pytest.approx(0.04 / 0.30, rel=1e-15)
     assert d.nu0 == pytest.approx(0.02 / 0.30 - 0.15, rel=1e-15)
     assert d.nu1 == pytest.approx(-0.02 / 0.30 - 0.15, rel=1e-15)
-    assert d.kappa == pytest.approx(0.10 + d.eta * d.nu0 - 0.5 * d.eta**2, rel=1e-15)
 
 
 def test_eta_is_one_when_drift_gap_equals_sigma():
@@ -83,6 +80,9 @@ def test_load_params_errors(tmp_path):
     f.write_text("mu0=banana\n")
     with pytest.raises(ParameterError, match="bad value"):
         load_params(f)
+    f.write_text("mu0=2%\nmu1 -2%\n")
+    with pytest.raises(ParameterError, match=r"bad\.txt:2: expected key=value, got 'mu1 -2%'"):
+        load_params(f)
     # a repeated key would silently override the earlier line
     f.write_text("mu0=2%\n# later\n mu0 = 8%\n")
     with pytest.raises(ParameterError, match=r"bad\.txt:3: repeated key 'mu0' \(first given on line 1\)"):
@@ -102,4 +102,3 @@ def test_derived_matches_recomputation():
     d = derived(BASE)
     assert d.eta == (BASE.mu0 - BASE.mu1) / BASE.sigma
     assert d.nu0 == BASE.mu0 / BASE.sigma - 0.5 * BASE.sigma
-    assert math.isfinite(d.kappa)

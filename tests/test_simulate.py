@@ -38,6 +38,8 @@ from conftest import BASE, assert_no_child_left, one_cpu
 
 N = 250
 
+_real_update_belief = simulate.update_belief
+
 
 @pytest.fixture(scope="module")
 def machinery():
@@ -66,17 +68,31 @@ def test_same_seed_same_path(machinery):
     assert not np.array_equal(a.ups, c.ups)
 
 
-def test_path_internal_consistency(machinery):
+def test_path_internal_consistency(machinery, monkeypatch):
     lat, q, p = machinery
-    path = simulate_joint_path(BASE, lat, q, p, (11, 0))
-    assert np.all(np.diff(path.regime) >= 0)  # single switch
-    j = np.concatenate(([0], np.cumsum(path.ups)))
-    assert np.array_equal(path.stock, lat.spot * lat.up ** (2.0 * j - np.arange(N + 1)))
-    for y0, beliefs in path.beliefs.items():
-        y = y0
-        for k in range(N):
-            y = update_belief(y, path.ups[k], q, p)
-            assert beliefs[k + 1] == y  # replayed filter is the filter
+    calls = []
+
+    def counting_update_belief(*args):
+        calls.append(np.shape(args[0]))
+        return _real_update_belief(*args)
+
+    monkeypatch.setattr(simulate, "update_belief", counting_update_belief)
+    # an exact repeat and the fixed point 1 ride along in the one filter pass
+    for starts in ((0.5,), (0.0, 0.5, 0.5, 1.0)):
+        calls.clear()
+        path = simulate_joint_path(BASE, lat, q, p, (11, 0), starts)
+        assert calls == [(len(starts),)] * N  # one call per step on all starts at once
+        assert list(path.beliefs) == list(dict.fromkeys(starts))
+        assert np.all(np.diff(path.regime) >= 0)  # single switch
+        j = np.concatenate(([0], np.cumsum(path.ups)))
+        assert np.array_equal(path.stock, lat.spot * lat.up ** (2.0 * j - np.arange(N + 1)))
+        for y0, beliefs in path.beliefs.items():
+            assert beliefs.flags.c_contiguous and beliefs[0] == y0
+            y = y0
+            for k in range(N):
+                y = _real_update_belief(y, path.ups[k], q, p)
+                assert beliefs[k + 1] == y  # replayed filter is the filter
+    assert np.all(path.beliefs[1.0] == 1.0)
 
 
 def test_no_intensity_never_switches(machinery):
@@ -572,11 +588,16 @@ def test_replay_engine_matches_path_at_a_time_oracle(name, params, n):
         assert np.array_equal(engine[agent].exercise_step, steps), agent
         assert np.array_equal(engine[agent].exercise_price, prices, equal_nan=True), agent
         assert np.array_equal(engine[agent].payoff, payoffs), agent
-    # thresholds themselves, exact grid hits and infinite layers included
+    # thresholds themselves, exact grid hits and infinite layers included:
+    # many beliefs at one step, and one belief per step along a whole path
     ys = np.concatenate((partial.grid.points, draws[0, :50]))
     for k in range(n + 1):
         expected = [reference.grid_threshold(partial.surface[k], partial.grid.n_points, y) for y in ys]
-        assert np.array_equal(surface_threshold(partial.surface[k], partial, ys), expected)
+        assert np.array_equal(surface_threshold(partial, k, ys), expected)
+    path_steps = np.arange(n + 1)
+    ys = np.where(path_steps % 2, draws[0, : n + 1], partial.grid.points[path_steps % partial.grid.n_points])
+    expected = [reference.grid_threshold(partial.surface[k], partial.grid.n_points, y) for k, y in enumerate(ys)]
+    assert np.array_equal(surface_threshold(partial, path_steps, ys), expected)
     exercised = sum(int(np.sum(steps >= 0)) for steps, _, _ in oracle.values())
     if params.strike > 1e6:
         assert exercised == 0
@@ -699,6 +720,12 @@ def test_replay_rejects_policies_priced_under_other_parameters(machinery, priced
     assert replay_batch(full, shifted, 10, 1, (0.5,))["outsider(y0=0.5)"].payoff.size == 10
     with pytest.raises(ValueError, match="n_paths"):
         replay_batch(full, partial, 0, 1, (0.0,))
+    # a partial result priced without its surface has no policy to replay
+    bare = price_partial(BASE, N, 51)
+    with pytest.raises(ValueError, match="no retained exercise surface"):
+        replay_batch(full, bare, 10, 1, (0.0,))
+    with pytest.raises(ValueError, match="no retained exercise surface"):
+        replay_policies(path, full, {0.0: bare})
 
 
 def test_aggregate_single_path_is_identity(machinery, priced):
