@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 engine/domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import warnings
 from dataclasses import replace
@@ -111,14 +110,17 @@ class _Output:
         for line in lines:
             print(f"# {line}")
 
-    def write_csv(self, name: str, header: list[str], rows) -> None:
+    def write_csv(self, name: str, header: list[str], blocks) -> None:
+        """Write the header line, then each block, a list of equal-length
+        columns, as CSV rows ending in CRLF: floats (numpy float64 included)
+        through ``_fmt``, every other cell through ``str``, nothing quoted."""
         if self.out_dir is None:
             return
         with open(self.out_dir / name, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) if isinstance(v, float) else str(v) for v in row])
+            fh.write(",".join(header) + "\r\n")
+            for columns in blocks:
+                cells = [[_fmt(v) if isinstance(v, float) else str(v) for v in column] for column in columns]
+                fh.write("".join(",".join(row) + "\r\n" for row in zip(*cells)))
         print(f"wrote {self.out_dir / name}")
 
 
@@ -172,9 +174,9 @@ def _smoothed(values: np.ndarray, degree: int) -> np.ndarray:
 def _write_boundary(out: _Output, name: str, result: FullInfoResult, boundaries=None):
     """Both regimes' exercise boundaries per step, or the given pair of them."""
     b0, b1 = boundaries or (result.boundary(0), result.boundary(1))
-    h = result.lattice.h
-    rows = ((k, k * h, float(b0[k]), float(b1[k])) for k in range(b0.size))
-    out.write_csv(name, ["step", "time_years", "boundary_regime0", "boundary_regime1"], rows)
+    steps = range(b0.size)
+    times = [k * result.lattice.h for k in steps]
+    out.write_csv(name, ["step", "time_years", "boundary_regime0", "boundary_regime1"], [[steps, times, b0, b1]])
 
 
 def cmd_price_full(args: argparse.Namespace) -> int:
@@ -196,12 +198,10 @@ def cmd_price_partial(args: argparse.Namespace) -> int:
         y0_list=",".join(_fmt(y) for y in y0_list), literal_pl_exponent=args.literal_pl_exponent,
     )
     result = price_partial(params, args.N, args.L)
-    rows = []
-    for y0 in y0_list:
-        value = result.root_at(y0)
+    values = [result.root_at(y0) for y0 in y0_list]
+    for y0, value in zip(y0_list, values):
         print(f"u(y0={y0:g}) = {value:.6f}")
-        rows.append((y0, float(value)))
-    out.write_csv("values.csv", ["y0", "value"], rows)
+    out.write_csv("values.csv", ["y0", "value"], [[y0_list, values]])
     return 0
 
 
@@ -227,13 +227,11 @@ def cmd_surface(args: argparse.Namespace) -> int:
     out = _Output(args, "surface", params, N=args.N, L=args.L, literal_pl_exponent=args.literal_pl_exponent)
     result = price_partial(params, args.N, args.L, keep_surface=True)
     h = result.lattice.h
-
-    def rows():
-        for k in range(args.N + 1):
-            for l, belief in enumerate(result.grid.points):
-                yield (k, k * h, float(belief), float(result.surface[k, l]))
-
-    out.write_csv("surface.csv", ["step", "time_years", "belief", "boundary_price"], rows())
+    beliefs = [_fmt(y) for y in result.grid.points]
+    n = len(beliefs)
+    # one block per step: its step and time texts repeated over the layers
+    blocks = ([[str(k)] * n, [_fmt(k * h)] * n, beliefs, result.surface[k]] for k in range(args.N + 1))
+    out.write_csv("surface.csv", ["step", "time_years", "belief", "boundary_price"], blocks)
     if out.out_dir is None:
         print(f"surface at t=0: y=0 -> {_fmt(float(result.surface[0, 0]))}, "
               f"y=1 -> {_fmt(float(result.surface[0, -1]))}")
@@ -252,11 +250,8 @@ def cmd_perpetual(args: argparse.Namespace) -> int:
     x_lo = args.x_min if args.x_min is not None else 0.0
     x_hi = args.x_max if args.x_max is not None else 1.5 * solution.x0
     xs = np.linspace(x_lo, x_hi, args.x_points)
-    out.write_csv(
-        "perpetual.csv",
-        ["x", "v0", "v1"],
-        ((float(x), float(solution.v0(x)), float(solution.v1(x))) for x in xs),
-    )
+    columns = [xs, [solution.v0(x) for x in xs], [solution.v1(x) for x in xs]]
+    out.write_csv("perpetual.csv", ["x", "v0", "v1"], [columns])
     return 0
 
 
@@ -268,18 +263,15 @@ def _export_paths(out: _Output, params, full, partial, seed: int, n_export: int,
     header += ["insider_boundary"] + [f"outsider_boundary_y0={y0:g}" for y0 in belief_starts]
     header += ["exercise_insider"] + [f"exercise_outsider_y0={y0:g}" for y0 in belief_starts]
     lattice = full.lattice
+    steps = range(lattice.n_steps + 1)
+    times = [k * lattice.h for k in steps]
     for i in range(n_export):
         path = simulate_joint_path(params, lattice, full.q, full.p, (seed, i), belief_starts)
         by_name = {o.agent: o for o in replay_policies(path, full, dict.fromkeys(belief_starts, partial))}
         outcomes = [by_name[agent] for agent in agents]
-        rows = (
-            [k, k * lattice.h, float(path.stock[k]), int(path.regime[k])]
-            + [float(path.beliefs[y0][k]) for y0 in belief_starts]
-            + [float(o.thresholds[k]) for o in outcomes]
-            + [int(o.exercise_step == k) for o in outcomes]
-            for k in range(lattice.n_steps + 1)
-        )
-        out.write_csv(f"path_{i:04d}.csv", header, rows)
+        columns = [steps, times, path.stock, path.regime, *(path.beliefs[y0] for y0 in belief_starts)]
+        columns += [o.thresholds for o in outcomes] + [[int(k == o.exercise_step) for k in steps] for o in outcomes]
+        out.write_csv(f"path_{i:04d}.csv", header, [columns])
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -299,14 +291,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     results = replay_batch(full, partial, args.paths, args.seed, belief_starts)
     table = aggregate_stats(results, full.lattice.h)
     print(table.as_text())
-    out.write_csv(
-        "summary.csv",
-        ["agent", "paths", "mean_payoff", "std_payoff", "se_payoff", "exercise_frequency", "mean_exercise_time"],
-        (
-            (a.agent, a.n_paths, a.mean_payoff, a.std_payoff, a.se_payoff, a.exercise_frequency, a.mean_exercise_time)
-            for a in table.agents
-        ),
-    )
+    fields = ["agent", "n_paths", "mean_payoff", "std_payoff", "se_payoff", "exercise_frequency", "mean_exercise_time"]
+    columns = [[getattr(a, field) for a in table.agents] for field in fields]
+    out.write_csv("summary.csv", ["agent", "paths", *fields[2:]], [columns])
     if out.out_dir is not None:
         (out.out_dir / "summary.txt").write_text(table.as_text() + "\n")
     return 0
@@ -354,9 +341,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
             f"{cell.mu0:>5.0%} {cell.mu1:>5.0%} {cell.sigma:>6.0%} {cell.lam:>6.0%}   "
             f"{v0:>7.1f} {v1:>7.1f} {u0:>7.1f} {u05:>7.1f}"
         )
-    out.write_csv(
-        "table1.csv", ["mu0", "mu1", "sigma", "lambda", "v0", "v1", "u0", "u05"], rows
-    )
+    out.write_csv("table1.csv", ["mu0", "mu1", "sigma", "lambda", "v0", "v1", "u0", "u05"], [zip(*rows)])
     return 0
 
 
@@ -378,7 +363,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
         for size, roots in zip(sizes, results):
             rows.append((size, *roots))
             print(f"{name}={size:>6d}: " + " ".join(f"{col}={v:.4f}" for col, v in zip(header[1:], roots)))
-        out.write_csv(f"value_vs_{header[0]}.csv", header, rows)
+        out.write_csv(f"value_vs_{header[0]}.csv", header, [zip(*rows)])
         tables.append((name, header, rows))
     for name, header, rows in tables:
         if len(rows) >= 2:

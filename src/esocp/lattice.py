@@ -76,16 +76,25 @@ class RegimeReturnProbs:
     p_dw1: float
 
 
+def _exp(quantity: str, x: float) -> float:
+    """exp(x); an overflow is a ValueError that names the quantity."""
+    try:
+        return exp(x)
+    except OverflowError:
+        raise ValueError(f"{quantity} = exp({x:.6g}) overflows the float range") from None
+
+
 def build_lattice(params: ModelParams, n_steps: int) -> Lattice:
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     h = params.maturity / n_steps
-    up = exp(params.sigma * sqrt(h))
+    up = _exp("the up factor exp(sigma*sqrt(h))", params.sigma * sqrt(h))
+    disc = _exp("the discount factor exp(-r*h)", -h * params.r)
     with np.errstate(over="ignore"):
         prices = tuple(params.spot * up ** np.arange(m, n_steps + 1, 2, dtype=float) for m in (-n_steps, 1 - n_steps))
     for ladder in prices:
         ladder.flags.writeable = False
-    return Lattice(n_steps, h, up, 1.0 / up, params.spot, exp(-h * params.r), prices)
+    return Lattice(n_steps, h, up, 1.0 / up, params.spot, disc, prices)
 
 
 def transition_matrix(lam: float, h: float) -> QMatrix:
@@ -108,7 +117,8 @@ def regime_return_probs(params: ModelParams, lattice: Lattice) -> RegimeReturnPr
     literal = params.literal_exponent
     probs = []
     for regime, mu in ((0, params.mu0), (1, params.mu1)):
-        grow = exp(mu * sqrt(lattice.h)) if literal else exp(mu * lattice.h)
+        exponent = mu * sqrt(lattice.h) if literal else mu * lattice.h
+        grow = _exp(f"the growth factor of regime {regime} (mu={mu})", exponent)
         p = (grow - lattice.dw) / (lattice.up - lattice.dw)
         if not 0.0 < p < 1.0:
             # Default exponent mu*h:  |mu|*h < sigma*sqrt(h)  <=>  h < (sigma/|mu|)^2.

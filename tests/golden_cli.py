@@ -79,6 +79,9 @@ CASES = {
     "error-table1-middle-cell": ["table1", "--N", "5", "--L", "3", "--maturity", "10"],
     "error-table1-middle-cell@one-cpu": ["table1", "--N", "5", "--L", "3", "--maturity", "10"],
     "error-argparse": ["price-full", "--N", "not-a-number"],
+    # exp overflows: sigma*sqrt(h) = 948.7 in the up factor, mu0*h = 10,000 in regime 0's growth factor
+    "error-up-factor-overflow": ["price-full", "--N", "1", "--sigma", "300", "--mu0", "0", "--mu1", "-0.02"],
+    "error-growth-factor-overflow": ["price-full", "--N", "1", "--mu0", "1000", "--mu1", "0"],
     "error-non-finite-root": ["price-full", "--N", "1500", "--sigma", "2", "--maturity", "100",
                               "--mu0", "0.08", "--lambda", "0"],
     "error-paths-zero": ["simulate", "--paths", "0"],

@@ -1,4 +1,7 @@
+import argparse
+import csv
 import filecmp
+import io
 import os
 import signal
 import time
@@ -153,6 +156,16 @@ def test_rank_deficient_smoothing_is_an_error_before_any_csv(tmp_path, capsys, t
     assert sorted(p.name for p in tmp_path.rglob("*")) == (["b", "manifest.txt"] if to_dir else [])
 
 
+def csv_reference(header, rows) -> bytes:
+    """What the standard library's csv.writer makes of the header and rows,
+    each float cell formatted by cli._fmt."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows([cli._fmt(v) if isinstance(v, float) else str(v) for v in row] for row in rows)
+    return buffer.getvalue().encode()
+
+
 def test_surface_csv_layout(tmp_path, capsys):
     out_dir = tmp_path / "s"
     code, _, _ = run(capsys, "surface", "--N", "40", "--L", "7", "--out", str(out_dir))
@@ -162,10 +175,18 @@ def test_surface_csv_layout(tmp_path, capsys):
     assert len(rows) == 1 + 41 * 7
     terminal = [r for r in rows[1:] if r.startswith("40,")]
     assert all(float(r.split(",")[3]) == BASE.strike for r in terminal)
+    result = price_partial(BASE, 40, 7, keep_surface=True)
+    s, fmt = result.surface, cli._fmt
+    want = [
+        (k, fmt(k * result.lattice.h), fmt(belief), fmt(s[k, l]))
+        for k in range(41)
+        for l, belief in enumerate(result.grid.points)
+    ]
+    header = ["step", "time_years", "belief", "boundary_price"]
+    assert (out_dir / "surface.csv").read_bytes() == csv_reference(header, want)
     # without --out the run ends on a summary of the surface at t=0
     code, out, _ = run(capsys, "surface", "--N", "40", "--L", "7")
     assert code == 0
-    s = price_partial(BASE, 40, 7, keep_surface=True).surface
     assert out.splitlines()[-1] == (
         f"surface at t=0: y=0 -> {cli._fmt(float(s[0, 0]))}, y=1 -> {cli._fmt(float(s[0, -1]))}"
     )
@@ -200,6 +221,29 @@ def test_rerun_is_byte_identical(tmp_path, capsys):
 
 def test_fmt_writes_non_finite_floats_by_name():
     assert [cli._fmt(x) for x in (float("nan"), float("inf"), -float("inf"), 0.1)] == ["nan", "inf", "-inf", "0.1"]
+
+
+def test_write_csv_matches_the_csv_module(tmp_path, capsys):
+    out = cli._Output(argparse.Namespace(out=str(tmp_path)), "test", BASE)
+    nan, inf = float("nan"), float("inf")
+    header = ["int", "float", "x", "x", "text"]  # a repeated name, as a repeated --y0 makes
+    blocks = [
+        [
+            [1, np.int8(-3), np.int64(2**40)],
+            [0.1, np.float64(1 / 3), nan],
+            [inf, -inf, -0.0],
+            np.array([1e-300, 2.5, -7.0]),
+            ["a", "outsider(y0=0.5)", ""],
+        ],
+        [np.array([4], dtype=np.int8), [np.float64(-inf)], [np.float64(-0.0)], [5], ["b"]],
+        [[], [], [], [], []],
+        [range(2), np.arange(2.0), ["c", "d"], [True, False], [None, 1e22]],
+    ]
+    out.write_csv("mixed.csv", header, blocks)
+    rows = [row for columns in blocks for row in zip(*columns)]
+    assert (tmp_path / "mixed.csv").read_bytes() == csv_reference(header, rows)
+    out.write_csv("empty.csv", header, [])
+    assert (tmp_path / "empty.csv").read_bytes() == csv_reference(header, []) == b"int,float,x,x,text\r\n"
 
 
 def test_summary_csv_writes_nan_mean_time_when_no_agent_exercises(tmp_path, capsys):

@@ -157,6 +157,23 @@ def test_inadmissible_drift_rejected_with_max_h():
         regime_return_probs(bad, lat)
 
 
+def test_up_factor_overflow_is_a_value_error_naming_it():
+    with pytest.raises(ValueError, match=r"up factor exp\(sigma\*sqrt\(h\)\) = exp\(948.683\) overflows"):
+        build_lattice(replace(BASE, sigma=300.0), 1)
+
+
+def test_discount_factor_overflow_is_a_value_error_naming_it():
+    with pytest.raises(ValueError, match=r"discount factor exp\(-r\*h\) = exp\(10000\) overflows"):
+        build_lattice(replace(BASE, r=-1000.0), 1)
+
+
+@pytest.mark.parametrize("literal", [False, True])
+def test_growth_factor_overflow_is_a_value_error_naming_it(literal):
+    lat = build_lattice(BASE, 1)  # h = 10: mu*h and mu*sqrt(h) both overflow exp
+    with pytest.raises(ValueError, match=r"growth factor of regime 0 \(mu=1000.0\) = exp\(.*\) overflows"):
+        regime_return_probs(replace(BASE, mu0=1000.0, mu1=0.0, literal_exponent=literal), lat)
+
+
 def test_joint_transitions_absorption_and_no_switch():
     lat = build_lattice(BASE, 2500)
     p = regime_return_probs(BASE, lat)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from esocp import NoFiniteBoundary, solve_perpetual, verify_odes
+from esocp import NoFiniteBoundary, perpetual, solve_perpetual, verify_odes
 from esocp.model import derived
 from esocp.perpetual import BracketError, DegenerateParameterError, _threshold_residual
 
@@ -173,3 +173,24 @@ def test_threshold_bracket_failure_is_reported():
     p = replace(BASE, mu0=0.30, mu1=-0.02)
     with pytest.raises(BracketError):
         solve_perpetual(p)
+
+
+@pytest.mark.parametrize(
+    "root, evaluated",
+    [
+        (1.5, [1.5]),  # the residual is 0 at x1
+        (6.0, [1.5, 3.0, 6.0]),  # at a doubled bracket end
+        (4.5, [1.5, 3.0, 6.0, 4.5]),  # at the first bisection midpoint of the bracket [3, 6]
+    ],
+)
+def test_threshold_solver_returns_an_exact_zero_at_once(monkeypatch, root, evaluated):
+    calls = []
+
+    def residual(x, *constants):
+        calls.append(x)
+        return x - root
+
+    monkeypatch.setattr(perpetual, "_threshold_residual", residual)
+    # A, B, D, beta, delta, K only reach the residual; the bracket starts at x1 = 1.5
+    assert perpetual._solve_threshold(1.0, 0.0, 0.0, 2.0, 1.0, 1.0, 1.5) == root
+    assert calls == evaluated
