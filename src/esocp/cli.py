@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Every subcommand resolves its parameters the same way (file, then inline
-flags, then the built-in base case), echoes a manifest of the resolved
-inputs, and writes plot-ready CSV when an output directory is given.
-Exit codes: 0 success, 1 engine/domain error, 2 usage error.
+``main`` resolves the model parameters of every subcommand the same way
+(file, then inline flags, then the built-in base case) and hands them to the
+subcommand, which echoes a manifest of the resolved inputs and writes
+plot-ready CSV when an output directory is given.  ``main`` then maps the
+outcome to the exit code: 0 success, 1 engine/domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -91,17 +92,17 @@ class _Output:
     """Manifest plus CSV sink; prints to stdout, writes files under --out.
 
     Creating one runs the whole manifest protocol: check the sizes, make
-    --out, record the command, the version, every model parameter and then
-    ``inputs`` in the order given, echo each entry as a ``# key=value`` line
-    and write the same lines to manifest.txt.
+    --out, record the command (``args.command``), the version, every model
+    parameter and then ``inputs`` in the order given, echo each entry as a
+    ``# key=value`` line and write the same lines to manifest.txt.
     """
 
-    def __init__(self, args: argparse.Namespace, command: str, params: ModelParams, **inputs):
+    def __init__(self, args: argparse.Namespace, params: ModelParams, **inputs):
         _check_sizes(args)
         self.out_dir = Path(args.out) if args.out else None
         if self.out_dir is not None:
             self.out_dir.mkdir(parents=True, exist_ok=True)
-        entries = [("command", command), ("version", __version__)]
+        entries = [("command", args.command), ("version", __version__)]
         entries += [(key, getattr(params, field)) for key, field in PARAM_KEYS.items()]
         entries += inputs.items()
         lines = [f"{key}={_fmt(v) if isinstance(v, float) else v}" for key, v in entries]
@@ -179,22 +180,19 @@ def _write_boundary(out: _Output, name: str, result: FullInfoResult, boundaries=
     out.write_csv(name, ["step", "time_years", "boundary_regime0", "boundary_regime1"], [[steps, times, b0, b1]])
 
 
-def cmd_price_full(args: argparse.Namespace) -> int:
-    params = _resolve_params(args)
-    out = _Output(args, "price-full", params, N=args.N, literal_pl_exponent=args.literal_pl_exponent)
+def cmd_price_full(args: argparse.Namespace, params: ModelParams) -> None:
+    out = _Output(args, params, N=args.N, literal_pl_exponent=args.literal_pl_exponent)
     result = price_full(params, args.N)
     print(f"v0 = {result.v0_root:.6f}")
     print(f"v1 = {result.v1_root:.6f}")
     _write_boundary(out, "boundary.csv", result)
-    return 0
 
 
-def cmd_price_partial(args: argparse.Namespace) -> int:
-    params = _resolve_params(args)
+def cmd_price_partial(args: argparse.Namespace, params: ModelParams) -> None:
     y0_list = args.y0_list if args.y0_list else [params.y0]
     _check_beliefs(y0_list)
     out = _Output(
-        args, "price-partial", params, N=args.N, L=args.L,
+        args, params, N=args.N, L=args.L,
         y0_list=",".join(_fmt(y) for y in y0_list), literal_pl_exponent=args.literal_pl_exponent,
     )
     result = price_partial(params, args.N, args.L)
@@ -202,14 +200,10 @@ def cmd_price_partial(args: argparse.Namespace) -> int:
     for y0, value in zip(y0_list, values):
         print(f"u(y0={y0:g}) = {value:.6f}")
     out.write_csv("values.csv", ["y0", "value"], [[y0_list, values]])
-    return 0
 
 
-def cmd_boundary(args: argparse.Namespace) -> int:
-    params = _resolve_params(args)
-    out = _Output(
-        args, "boundary", params, N=args.N, literal_pl_exponent=args.literal_pl_exponent, smooth=args.smooth
-    )
+def cmd_boundary(args: argparse.Namespace, params: ModelParams) -> None:
+    out = _Output(args, params, N=args.N, literal_pl_exponent=args.literal_pl_exponent, smooth=args.smooth)
     result = price_full(params, args.N)
     # smoothed before any CSV is written, so a fit that fails writes none
     smoothed = [_smoothed(result.boundary(regime), args.smooth_degree) for regime in (0, 1)] if args.smooth else None
@@ -219,12 +213,10 @@ def cmd_boundary(args: argparse.Namespace) -> int:
     if out.out_dir is None:
         b0, b1 = result.boundary(0), result.boundary(1)
         print(f"boundary at t=0: regime0 {_fmt(float(b0[0]))}, regime1 {_fmt(float(b1[0]))}")
-    return 0
 
 
-def cmd_surface(args: argparse.Namespace) -> int:
-    params = _resolve_params(args)
-    out = _Output(args, "surface", params, N=args.N, L=args.L, literal_pl_exponent=args.literal_pl_exponent)
+def cmd_surface(args: argparse.Namespace, params: ModelParams) -> None:
+    out = _Output(args, params, N=args.N, L=args.L, literal_pl_exponent=args.literal_pl_exponent)
     result = price_partial(params, args.N, args.L, keep_surface=True)
     h = result.lattice.h
     beliefs = [_fmt(y) for y in result.grid.points]
@@ -235,16 +227,14 @@ def cmd_surface(args: argparse.Namespace) -> int:
     if out.out_dir is None:
         print(f"surface at t=0: y=0 -> {_fmt(float(result.surface[0, 0]))}, "
               f"y=1 -> {_fmt(float(result.surface[0, -1]))}")
-    return 0
 
 
-def cmd_perpetual(args: argparse.Namespace) -> int:
-    params = _resolve_params(args)
-    out = _Output(args, "perpetual", params)
+def cmd_perpetual(args: argparse.Namespace, params: ModelParams) -> None:
+    out = _Output(args, params)
     solution = solve_perpetual(params)
     if isinstance(solution, NoFiniteBoundary):
         print(f"no finite exercise boundary: {solution.reason}")
-        return 0
+        return
     for name in ("gamma", "beta", "delta", "A", "B", "C", "D", "E", "F", "x1", "x0"):
         print(f"{name} = {getattr(solution, name):.10g}")
     x_lo = args.x_min if args.x_min is not None else 0.0
@@ -252,7 +242,6 @@ def cmd_perpetual(args: argparse.Namespace) -> int:
     xs = np.linspace(x_lo, x_hi, args.x_points)
     columns = [xs, [solution.v0(x) for x in xs], [solution.v1(x) for x in xs]]
     out.write_csv("perpetual.csv", ["x", "v0", "v1"], [columns])
-    return 0
 
 
 def _export_paths(out: _Output, params, full, partial, seed: int, n_export: int, belief_starts) -> None:
@@ -274,13 +263,12 @@ def _export_paths(out: _Output, params, full, partial, seed: int, n_export: int,
         out.write_csv(f"path_{i:04d}.csv", header, [columns])
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    params = _resolve_params(args)
+def cmd_simulate(args: argparse.Namespace, params: ModelParams) -> None:
     belief_starts = tuple(args.y0_list) if args.y0_list else (0.0, 0.5)
     _check_beliefs(belief_starts, labelled=True)
     n_export = min(args.export_paths, args.paths)
     out = _Output(
-        args, "simulate", params, N=args.N, L=args.L, seed=args.seed, paths=args.paths,
+        args, params, N=args.N, L=args.L, seed=args.seed, paths=args.paths,
         export_paths=n_export, belief_starts=",".join(_fmt(y) for y in belief_starts), rng=RNG_NAME,
         literal_pl_exponent=args.literal_pl_exponent,
     )
@@ -296,7 +284,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out.write_csv("summary.csv", ["agent", "paths", *fields[2:]], [columns])
     if out.out_dir is not None:
         (out.out_dir / "summary.txt").write_text(table.as_text() + "\n")
-    return 0
 
 
 # Parameter grid of the comparative-statics table.
@@ -306,9 +293,8 @@ TABLE1_SIGMA = (0.20, 0.30, 0.40)
 TABLE1_LAMBDA = (0.10, 0.20)
 
 
-def cmd_table1(args: argparse.Namespace) -> int:
-    params = _resolve_params(args)
-    out = _Output(args, "table1", params, N=args.N, L=args.L, literal_pl_exponent=args.literal_pl_exponent)
+def cmd_table1(args: argparse.Namespace, params: ModelParams) -> None:
+    out = _Output(args, params, N=args.N, L=args.L, literal_pl_exponent=args.literal_pl_exponent)
     cells = [
         replace(params, mu0=mu0, mu1=mu1, sigma=sigma, lam=lam)
         for lam in TABLE1_LAMBDA
@@ -342,13 +328,11 @@ def cmd_table1(args: argparse.Namespace) -> int:
             f"{v0:>7.1f} {v1:>7.1f} {u0:>7.1f} {u05:>7.1f}"
         )
     out.write_csv("table1.csv", ["mu0", "mu1", "sigma", "lambda", "v0", "v1", "u0", "u05"], [zip(*rows)])
-    return 0
 
 
-def cmd_converge(args: argparse.Namespace) -> int:
-    params = _resolve_params(args)
+def cmd_converge(args: argparse.Namespace, params: ModelParams) -> None:
     out = _Output(
-        args, "converge", params, N_list=",".join(str(n) for n in args.N_list),
+        args, params, N_list=",".join(str(n) for n in args.N_list),
         L_list=",".join(str(l) for l in args.L_list), L=args.L, N=args.N,
         literal_pl_exponent=args.literal_pl_exponent,
     )
@@ -370,11 +354,10 @@ def cmd_converge(args: argparse.Namespace) -> int:
             (size, *last), (prev_size, *prev) = rows[-1], rows[-2]
             for col, a, b in zip(header[1:], last, prev):
                 print(f"|{col}({name}={size}) - {col}({name}={prev_size})| = {abs(a - b):.4f}")
-    return 0
 
 
 def _command(sub, name: str, func, help: str) -> argparse.ArgumentParser:
-    """Add subcommand ``name``, run by ``func``, with the flags every subcommand shares."""
+    """Add subcommand ``name``, run by ``func(args, params)``, with the flags every subcommand shares."""
     sp = sub.add_parser(name, help=help)
     sp.add_argument("--params", help="parameter file (key=value lines, '#' comments)")
     # y0 has no override: subcommands that need beliefs own a repeatable
@@ -451,13 +434,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args, _resolve_params(args))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, BracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -89,6 +89,8 @@ def build_lattice(params: ModelParams, n_steps: int) -> Lattice:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     h = params.maturity / n_steps
     up = _exp("the up factor exp(sigma*sqrt(h))", params.sigma * sqrt(h))
+    if up == 1.0:  # up - dw would be 0 in every move probability
+        raise ValueError(f"the up factor exp(sigma*sqrt(h)) = exp({params.sigma * sqrt(h):.6g}) rounds to 1.0")
     disc = _exp("the discount factor exp(-r*h)", -h * params.r)
     with np.errstate(over="ignore"):
         prices = tuple(params.spot * up ** np.arange(m, n_steps + 1, 2, dtype=float) for m in (-n_steps, 1 - n_steps))

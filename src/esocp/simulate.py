@@ -197,10 +197,12 @@ def replay_policies(
     regime they currently observe; each outsider variant stops at the first
     crossing of the surface threshold interpolated at her current belief,
     her whole threshold path read in one ``surface_threshold`` call.  Each
-    outcome keeps the per-step thresholds its agent was compared with.
+    outcome keeps the per-step thresholds its agent was compared with, under
+    the label ``agent_labels`` gives it, as in ``replay_batch``.
     """
     _check_same_lattice(path.lattice, full_result.lattice, "full-information pricing")
     check_beliefs(partial_results, "belief starts")
+    labels = agent_labels(list(partial_results))
     strike = full_result.params.strike
     disc = _discount_factors(full_result)
 
@@ -215,9 +217,9 @@ def replay_policies(
     insider = np.where(path.regime == 1, full_result.boundary(1), full_result.boundary(0))
     outcomes = [outcome("insider", insider)]
     steps = np.arange(path.lattice.n_steps + 1)
-    for y0, partial in partial_results.items():
+    for label, (y0, partial) in zip(labels[1:], partial_results.items()):
         _check_policies(full_result, partial, f"partial pricing (y0={y0:g})")
-        outcomes.append(outcome(f"outsider(y0={y0:g})", surface_threshold(partial, steps, path.beliefs[y0])))
+        outcomes.append(outcome(label, surface_threshold(partial, steps, path.beliefs[y0])))
     return outcomes
 
 

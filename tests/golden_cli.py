@@ -82,6 +82,8 @@ CASES = {
     # exp overflows: sigma*sqrt(h) = 948.7 in the up factor, mu0*h = 10,000 in regime 0's growth factor
     "error-up-factor-overflow": ["price-full", "--N", "1", "--sigma", "300", "--mu0", "0", "--mu1", "-0.02"],
     "error-growth-factor-overflow": ["price-full", "--N", "1", "--mu0", "1000", "--mu1", "0"],
+    # exp(sigma*sqrt(h)) = exp(3.2e-300) rounds to 1.0, so up - dw = 0
+    "error-up-factor-rounds-to-one": ["price-full", "--N", "1", "--sigma", "1e-300"],
     "error-non-finite-root": ["price-full", "--N", "1500", "--sigma", "2", "--maturity", "100",
                               "--mu0", "0.08", "--lambda", "0"],
     "error-paths-zero": ["simulate", "--paths", "0"],

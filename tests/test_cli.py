@@ -224,7 +224,7 @@ def test_fmt_writes_non_finite_floats_by_name():
 
 
 def test_write_csv_matches_the_csv_module(tmp_path, capsys):
-    out = cli._Output(argparse.Namespace(out=str(tmp_path)), "test", BASE)
+    out = cli._Output(argparse.Namespace(out=str(tmp_path), command="test"), BASE)
     nan, inf = float("nan"), float("inf")
     header = ["int", "float", "x", "x", "text"]  # a repeated name, as a repeated --y0 makes
     blocks = [

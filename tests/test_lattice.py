@@ -10,6 +10,8 @@ from esocp import (
     AdmissibilityError,
     build_lattice,
     predict_return_prob,
+    price_full,
+    price_partial,
     regime_return_probs,
     transition_matrix,
     update_belief,
@@ -160,6 +162,13 @@ def test_inadmissible_drift_rejected_with_max_h():
 def test_up_factor_overflow_is_a_value_error_naming_it():
     with pytest.raises(ValueError, match=r"up factor exp\(sigma\*sqrt\(h\)\) = exp\(948.683\) overflows"):
         build_lattice(replace(BASE, sigma=300.0), 1)
+
+
+@pytest.mark.parametrize("price", [lambda p: price_full(p, 5), lambda p: price_partial(p, 5, 3)])
+def test_up_factor_that_rounds_to_one_is_a_value_error_naming_it(price):
+    # exp(sigma*sqrt(h)) == 1.0 leaves up - dw == 0 in every move probability
+    with pytest.raises(ValueError, match=r"up factor exp\(sigma\*sqrt\(h\)\) = exp\(1.41421e-300\) rounds to 1.0"):
+        price(replace(BASE, sigma=1e-300))
 
 
 def test_discount_factor_overflow_is_a_value_error_naming_it():

@@ -473,8 +473,9 @@ def test_beliefs_outside_unit_interval_are_rejected_before_drawing(machinery, pr
         replay_policies(path, full, {0.0: partial, y0: partial})
 
 
-def test_distinct_beliefs_with_one_label_are_rejected_before_drawing(priced, monkeypatch):
+def test_distinct_beliefs_with_one_label_are_rejected_before_drawing(machinery, priced, monkeypatch):
     # both read outsider(y0=0.123457): one set of outcome arrays would hold both
+    lat, q, p = machinery
     full, partial = priced
     draws = block_uniforms(1, 0, N)
 
@@ -489,6 +490,9 @@ def test_distinct_beliefs_with_one_label_are_rejected_before_drawing(priced, mon
     with pytest.raises(ValueError, match=message):
         replay_draws(full, partial, draws, (0.1234567, 0.5, 0.1234568))
     monkeypatch.undo()
+    path = simulate_joint_path(BASE, lat, q, p, (1, 0), (0.1234567, 0.1234568))
+    with pytest.raises(ValueError, match=message):
+        replay_policies(path, full, {0.1234567: partial, 0.1234568: partial})
     # an exact repeat names one agent, whose outcomes both replays agree on
     repeated = replay_batch(full, partial, 3000, 1, (0.1234567, 0.1234567))
     assert list(repeated) == ["insider", "outsider(y0=0.123457)"]
